@@ -46,6 +46,7 @@ from .quadform import (
     QuadratureConfig,
     adaptive_integrate,
     cdf,
+    cdf_many,
     integrand_imhof,
     integrand_shifted,
     stability_bound,

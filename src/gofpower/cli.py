@@ -25,7 +25,7 @@ from .model import (
 )
 from .montecarlo import empirical_power, simulate_statistics
 from .power import default_grid, power_curve
-from .quadform import NumericalFailureError, QuadratureConfig, cdf
+from .quadform import NumericalFailureError, QuadratureConfig, cdf_many
 from .spectrum import DegenerateModelError, EigensolverError, compute_spectrum
 from .svgplot import power_overlay_svg
 
@@ -129,8 +129,7 @@ def cmd_cdf(args) -> int:
     model, pert = _resolve_case(args)
     spec = compute_spectrum(model, pert)
     cfg = _quad_config(args)
-    for x in args.x:
-        ev = cdf(x, spec, cfg)
+    for x, ev in zip(args.x, cdf_many(args.x, spec, cfg)):
         flag = "" if ev.converged else " converged=False"
         print(f"x={x:.12g} cdf={ev.value:.12g} err={ev.abs_error_estimate:.3e} "
               f"nodes={ev.nodes_used} method={ev.method}{flag}")
@@ -208,14 +207,12 @@ def cmd_examples(args) -> int:
                         [pt.alpha for pt in points], [pt.power for pt in points],
                         title=name)
 
-                alt_spec = compute_spectrum(model, pert)
-                method = cdf(1.0, alt_spec, cfg).method
                 writer.writerow([name, model.m, curve.meta.max_nodes_null,
                                  curve.meta.max_nodes_alt,
                                  f"{curve.meta.seconds_per_point:.6g}"])
                 print(f"{name}: m={model.m} q0={curve.meta.max_nodes_null} "
                       f"qa={curve.meta.max_nodes_alt} "
-                      f"t={curve.meta.seconds_per_point:.3g}s method={method}")
+                      f"t={curve.meta.seconds_per_point:.3g}s method={curve.meta.method_alt}")
     except Exception:
         for path in written:
             path.unlink(missing_ok=True)

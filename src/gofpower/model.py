@@ -175,7 +175,9 @@ def poisson_model(lam: float, tail_tol: float, *,
         term *= lam / k
         cum += term
         masses.append(term)
-    return ProbabilityModel(masses, sum_tol=tail_tol, renormalize_tol=tail_tol)
+    # the float sum of the kept masses can miss 1 - tail by a few ulp per bin
+    tol = max(tail_tol, 4.0 * np.finfo(float).eps * len(masses))
+    return ProbabilityModel(masses, sum_tol=tol, renormalize_tol=tol)
 
 
 def alternating_perturbation(m: int, amplitude: float) -> Perturbation:

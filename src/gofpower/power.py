@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Perturbation, ProbabilityModel, zero_perturbation
-from .quadform import DEFAULT_CONFIG, QuadratureConfig, cdf
+from .model import Perturbation, ProbabilityModel
+from .quadform import DEFAULT_CONFIG, Method, QuadratureConfig, cdf, cdf_many
 from .spectrum import Spectrum, compute_spectrum
 
 __all__ = [
@@ -30,12 +30,14 @@ ROOT_TOL = 1e-8  # |F0(x*) - (1 - alpha)| target for power_at
 
 @dataclass(frozen=True)
 class CurveMeta:
-    """Cost accounting for a curve: worst node counts and amortized time."""
+    """Cost accounting for a curve: worst node counts, amortized time, and
+    the method that evaluated the alternative CDF."""
 
     max_nodes_null: int
     max_nodes_alt: int
     seconds_per_point: float
-    unconverged_points: int = 0
+    unconverged_points: int
+    method_alt: Method
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,36 +87,30 @@ def power_curve(model: ProbabilityModel, pert: Perturbation,
                 cfg: QuadratureConfig | None = None) -> PowerCurve:
     """Power curve (1 - F0(x), 1 - Fa(x)) over a strictly increasing grid.
 
-    The null and alternative spectra are each computed once; per-point
-    quadrature warnings are collected in the meta block, not raised.
+    One eigendecomposition serves both spectra (the null keeps the
+    alternative's sigma with zeta = 0), and each CDF family is one
+    ``cdf_many`` call; per-point quadrature warnings are collected in the
+    meta block, not raised.
     """
     cfg = cfg or DEFAULT_CONFIG
     xs = default_grid() if grid is None else np.asarray(grid, dtype=float)
     if xs.ndim != 1 or xs.size == 0 or np.any(xs <= 0) or np.any(np.diff(xs) <= 0):
         raise ValueError("grid must be strictly increasing and positive")
-    null_spec = compute_spectrum(model, zero_perturbation(model.m))
     alt_spec = compute_spectrum(model, pert)
+    null_spec = alt_spec.null()
 
-    f0 = np.empty_like(xs)
-    fa = np.empty_like(xs)
-    q0 = qa = 0
-    bad = 0
     t0 = time.perf_counter()
     with warnings.catch_warnings():
         # budget exhaustion is collected in the meta block, not raised per point
         warnings.filterwarnings(
             "ignore", message="adaptive quadrature budget exhausted")
-        for i, x in enumerate(xs):
-            e0 = cdf(float(x), null_spec, cfg)
-            ea = cdf(float(x), alt_spec, cfg)
-            f0[i] = e0.value
-            fa[i] = ea.value
-            q0 = max(q0, e0.nodes_used)
-            qa = max(qa, ea.nodes_used)
-            bad += (not e0.converged) + (not ea.converged)
+        e0 = cdf_many(xs, null_spec, cfg)
+        ea = cdf_many(xs, alt_spec, cfg)
     dt = (time.perf_counter() - t0) / xs.size
-    return PowerCurve(x=xs, f0=f0, fa=fa,
-                      meta=CurveMeta(q0, qa, dt, bad))
+    meta = CurveMeta(max(e.nodes_used for e in e0), max(e.nodes_used for e in ea),
+                     dt, sum(not e.converged for e in e0 + ea), ea[0].method)
+    return PowerCurve(x=xs, f0=np.array([e.value for e in e0]),
+                      fa=np.array([e.value for e in ea]), meta=meta)
 
 
 def asymptotic_power(alpha: float, null_spec: Spectrum, alt_spec: Spectrum,
@@ -152,6 +148,5 @@ def asymptotic_power(alpha: float, null_spec: Spectrum, alt_spec: Spectrum,
 def power_at(alpha: float, model: ProbabilityModel, pert: Perturbation,
              cfg: QuadratureConfig | None = None) -> float:
     """Point query for the power at one significance level."""
-    null_spec = compute_spectrum(model, zero_perturbation(model.m))
     alt_spec = compute_spectrum(model, pert)
-    return asymptotic_power(alpha, null_spec, alt_spec, cfg)
+    return asymptotic_power(alpha, alt_spec.null(), alt_spec, cfg)

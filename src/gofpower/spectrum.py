@@ -115,6 +115,14 @@ class Spectrum:
         order = np.argsort(sigma)[::-1]
         return cls(ell=sigma.size, sigma=sigma[order], zeta=zeta[order])
 
+    def null(self) -> "Spectrum":
+        """The null law's parameters: the same sigma, every zeta 0.
+
+        sigma depends on p0 alone, so this equals ``compute_spectrum`` on
+        the zero perturbation without a second eigendecomposition.
+        """
+        return Spectrum(ell=self.ell, sigma=self.sigma, zeta=np.zeros(self.ell))
+
     def mean(self) -> float:
         """E[X] = sum sigma_k^2 (1 + zeta_k^2)."""
         return float((self.sigma ** 2) @ (1.0 + self.zeta ** 2))

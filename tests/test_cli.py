@@ -174,7 +174,11 @@ class TestExamplesCommand:
         # q0 for example 1 within 4x of the reference cost of 230 nodes
         q0 = int(table["example1"][2])
         assert 230 / 4 <= q0 <= 230 * 4
-        assert "example4" in out and "method=Imhof" in out
+        # the method is the one the alternative curve was evaluated with
+        methods = {line.split(":")[0]: line.rsplit("method=", 1)[1]
+                   for line in out.splitlines()}
+        assert methods == {"example1": "ShiftedContour", "example2": "ShiftedContour",
+                           "example3": "ShiftedContour", "example4": "Imhof"}
 
     def test_failure_removes_partial_outputs(self, capsys, tmp_path, monkeypatch):
         import gofpower.cli as cli_mod
@@ -195,6 +199,17 @@ class TestExamplesCommand:
         assert code == EXIT_NUMERICAL
         assert "synthetic failure" in err
         assert list(tmp_path.iterdir()) == []
+
+
+class TestPoissonModelSpec:
+    def test_tail_tolerance_below_float_rounding_accepted(self, capsys, tmp_path):
+        # the kept masses sum to 1 - 1.1e-16, outside a 1e-16 tolerance
+        out_path = tmp_path / "stats.csv"
+        code, out, err = run(capsys, "simulate", "--model", "poisson:3:1e-16",
+                             "--n", "1000", "--trials", "10", "--out", str(out_path))
+        assert code == EXIT_OK, err
+        assert "10 trials" in out
+        assert len(out_path.read_text().splitlines()) == 11
 
 
 class TestBadInput:

@@ -106,6 +106,10 @@ class TestPoisson:
         tail = m.probs[3:]   # counts k-1 >= 3 = lambda
         assert np.all(np.diff(tail) < 0)
 
+    def test_tail_tolerance_below_sum_rounding(self):
+        m = poisson_model(3.0, 1e-16)
+        assert 0.0 <= 1.0 - m.probs.sum() < 1e-15
+
     def test_truncation_cap(self):
         with pytest.raises(TruncationError):
             poisson_model(3.0, 1e-10, max_bins=10)

@@ -13,12 +13,17 @@ import pytest
 from oracles import chi2_cdf
 
 from gofpower.model import alternating_perturbation, builtin_examples, uniform_model
+from gofpower.power import default_grid
 from gofpower.quadform import (
     Method,
     NumericalFailureError,
     QuadratureConfig,
+    _compress,
+    _imhof_values,
+    _shifted_values,
     adaptive_integrate,
     cdf,
+    cdf_many,
     integrand_imhof,
     integrand_shifted,
     stability_bound,
@@ -296,3 +301,81 @@ class TestCdf:
         # under __debug__; a full evaluation exercising many panels passes
         ev = cdf(0.8, spec61, QuadratureConfig(abs_tol=1e-12, rel_tol=1e-12))
         assert ev.converged
+
+
+def complex_shifted(y, x, spec):
+    """The shifted-contour integrand in complex arithmetic, one factor per
+    eigenvalue: Im of exp((1-y) + i y rt + sum(z2 (1/w - 1)/2 - log(w)/2))
+    over pi (y - 1/(1 - i rt))."""
+    s2, z2, rt = spec.sigma ** 2, spec.zeta ** 2, math.sqrt(spec.ell)
+    w = 1.0 - 2.0 * (y[:, None] - 1.0) * (s2 / x) + 2.0j * y[:, None] * (s2 * rt / x)
+    expo = ((1.0 - y) + 1.0j * y * rt
+            + (0.5 * z2 * (1.0 / w - 1.0) - 0.5 * np.log(w)).sum(axis=1))
+    return np.exp(expo) / (math.pi * (y - 1.0 / (1.0 - 1.0j * rt)))
+
+
+def complex_imhof(y, x, spec):
+    """The real-axis inversion integrand in complex arithmetic:
+    Im of exp(-i y + sum(z2 (1/v - 1)/2 - log(v)/2)) / (pi y), v = 1 - 2i y s2/x."""
+    s2, z2 = spec.sigma ** 2, spec.zeta ** 2
+    v = 1.0 - 2.0j * y[:, None] * (s2 / x)
+    expo = -1.0j * y + (0.5 * z2 * (1.0 / v - 1.0) - 0.5 * np.log(v)).sum(axis=1)
+    return np.exp(expo) / (math.pi * y)
+
+
+class TestRealArithmeticKernels:
+    @pytest.mark.parametrize("shifted", [True, False])
+    def test_match_complex_formula(self, shifted):
+        # one x per row; the error is relative to the modulus of the complex
+        # value, whose imaginary part the kernels return.  Both forms round
+        # the phase y sqrt(ell) alike, losing about |phase| * eps, so y stays
+        # below 40, where the integrals get their mass.
+        kernel, ref = ((_shifted_values, complex_shifted) if shifted
+                       else (_imhof_values, complex_imhof))
+        rng = np.random.default_rng(31)
+        ys = np.sort(rng.uniform(1e-3, 40.0, (3, 21)), axis=1)
+        for k in range(20):
+            spec = random_spectrum(rng)
+            if k % 2:
+                spec = Spectrum.from_params(spec.sigma, np.zeros(spec.ell))
+            elif k % 4 == 0:
+                # repeated variances exercise the eigenvalue grouping
+                spec = Spectrum.from_params(np.repeat(spec.sigma[:3], 3),
+                                            np.resize(spec.zeta, 9))
+            xs = rng.uniform(0.1, 5.0, 3) * spec.mean()
+            got = kernel(ys, xs, *_compress(spec))
+            for row, x in zip(range(3), xs):
+                want = ref(ys[row], x, spec)
+                assert np.all(np.abs(got[row] - want.imag) <= 1e-13 * np.abs(want))
+
+
+class TestCdfMany:
+    @pytest.mark.parametrize("case", range(4))
+    def test_equals_pointwise_cdf_on_example_grids(self, case):
+        _, model, pert = builtin_examples()[case]
+        alt = compute_spectrum(model, pert)
+        grid = default_grid()[::50]
+        for spec in (alt.null(), alt):
+            for ev, x in zip(cdf_many(grid, spec), grid):
+                one = cdf(float(x), spec)
+                assert ev.nodes_used == one.nodes_used
+                assert ev.converged == one.converged
+                assert ev.method is one.method
+                assert abs(ev.value - one.value) <= 1e-14
+
+    def test_nonpositive_points_cost_nothing(self, spec61):
+        xs = [0.5, -1.0, 0.0, 1.5, -1e-300, 3.0]
+        evs = cdf_many(xs, spec61)
+        assert len(evs) == len(xs)
+        for x, ev in zip(xs, evs):
+            if x <= 0.0:
+                assert (ev.value, ev.abs_error_estimate, ev.nodes_used) == (0.0, 0.0, 0)
+            else:
+                one = cdf(x, spec61)
+                assert ev.nodes_used == one.nodes_used > 0
+                assert abs(ev.value - one.value) <= 1e-14
+        assert cdf_many([], spec61) == []
+
+    def test_nan_point_rejected(self, spec61):
+        with pytest.raises(ValueError):
+            cdf_many([1.0, math.nan], spec61)

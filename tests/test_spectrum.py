@@ -152,6 +152,17 @@ class TestComputeSpectrum:
             rel = 5e-3 if name == "example4" else 5e-4
             assert spec.stability_rhs == pytest.approx(expected[name], rel=rel)
 
+    def test_null_from_alternative_is_bitwise_identical(self):
+        # sigma depends on p0 alone, so the null spectrum needs no second
+        # eigendecomposition
+        for _, model, pert in builtin_examples():
+            null = compute_spectrum(model, pert).null()
+            direct = compute_spectrum(model, zero_perturbation(model.m))
+            assert null.ell == direct.ell
+            assert null.sigma.tobytes() == direct.sigma.tobytes()
+            assert null.zeta.tobytes() == direct.zeta.tobytes()
+            assert null.stability_rhs == direct.stability_rhs == 1.0
+
     @pytest.mark.parametrize("m", [3, 8, 25])
     def test_zeta_norm_identity(self, m):
         # sum zeta_k^2 equals a^T D a because H a = a when the entries sum to 0
