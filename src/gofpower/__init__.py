@@ -31,10 +31,7 @@ from .model import (
 )
 from .spectrum import (
     DegenerateModelError,
-    EigensolverError,
-    SpectralMatrix,
     Spectrum,
-    build_b_matrix,
     compute_spectrum,
     eigendecompose,
 )

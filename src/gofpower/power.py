@@ -101,9 +101,9 @@ def power_curve(model: ProbabilityModel, pert: Perturbation,
 
     t0 = time.perf_counter()
     with warnings.catch_warnings():
-        # budget exhaustion is collected in the meta block, not raised per point
+        # unconverged points are counted in the meta block, not raised per point
         warnings.filterwarnings(
-            "ignore", message="adaptive quadrature budget exhausted")
+            "ignore", message="adaptive quadrature (budget exhausted|truncated)")
         e0 = cdf_many(xs, null_spec, cfg)
         ea = cdf_many(xs, alt_spec, cfg)
     dt = (time.perf_counter() - t0) / xs.size

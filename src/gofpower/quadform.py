@@ -41,8 +41,6 @@ __all__ = [
 
 # exponent cap: exp(x) overflows just above x = 709
 _EXP_OVERFLOW = 700.0
-# relative gap under which two variances are treated as one eigenvalue group
-_GROUP_RTOL = 1e-12
 # work in flight in cdf_many: integrals advanced together, and node x group
 # elements per integrand call.  Larger batches save no time, only memory.
 _IN_FLIGHT = 128
@@ -173,32 +171,6 @@ def stability_rhs(spec: "Spectrum") -> float:
     return stability_bound(spec.zeta, spec.ell)
 
 
-def _compress(spec: "Spectrum"):
-    """Group equal variances: (sigma2 per group, multiplicity, summed zeta^2).
-
-    The distribution depends on the zetas of an eigenvalue group only
-    through their summed squares, so the grouped integrand is exactly the
-    ungrouped one at a fraction of the cost when eigenvalues repeat.
-    """
-    sigma2 = np.asarray(spec.sigma, dtype=float) ** 2
-    zeta2 = np.asarray(spec.zeta, dtype=float) ** 2
-    order = np.argsort(sigma2)[::-1]
-    s2 = sigma2[order]
-    z2 = zeta2[order]
-    lead = s2[0]
-    g_s, g_n, g_z = [lead], [0], [0.0]
-    for s, z in zip(s2, z2):
-        if lead - s > _GROUP_RTOL * lead:
-            lead = s
-            g_s.append(s)
-            g_n.append(0)
-            g_z.append(0.0)
-        g_n[-1] += 1
-        g_z[-1] += z
-    return (np.array(g_s), np.array(g_n, dtype=float), np.array(g_z),
-            int(sigma2.size))
-
-
 def _shifted_values(y, x, s2, cnt, z2, ell):
     """Shifted-contour integrand at the nodes y, one row per CDF argument x.
 
@@ -271,7 +243,7 @@ def integrand_shifted(y, x: float, spec: "Spectrum"):
     by factor on the principal branch (as a summed principal log), never
     as a single root of the full product.
     """
-    s2, cnt, z2, ell = _compress(spec)
+    s2, cnt, z2, ell = spec.groups
     yv, scalar = _as_batch(y)
     out = _shifted_values(yv[None, :], np.array([float(x)]), s2, cnt, z2, ell)[0]
     return float(out[0]) if scalar else out
@@ -283,7 +255,7 @@ def integrand_imhof(y, x: float, spec: "Spectrum"):
     The y -> 0 singularity is removable; open quadrature rules never
     evaluate y = 0.
     """
-    s2, cnt, z2, ell = _compress(spec)
+    s2, cnt, z2, ell = spec.groups
     yv, scalar = _as_batch(y)
     out = _imhof_values(yv[None, :], np.array([float(x)]), s2, cnt, z2, ell)[0]
     return float(out[0]) if scalar else out
@@ -344,6 +316,7 @@ def _integral(cfg: QuadratureConfig, initial_upper: float, initial_panels: int):
     budget = cfg.max_subdivisions
     upper = initial_upper
     tail_done = False
+    oscillation_cut = False
     truncation_err = 0.0
     last_window_scale = 0.0
     while True:
@@ -378,6 +351,7 @@ def _integral(cfg: QuadratureConfig, initial_upper: float, initial_panels: int):
             # committing the window would add noise, so truncate here and
             # charge the window's magnitude as unresolved tail error
             truncation_err = abs(window_value) + window_err
+            oscillation_cut = True
             break
         commit(pairs, vals, errs)
         total += window_value
@@ -396,9 +370,11 @@ def _integral(cfg: QuadratureConfig, initial_upper: float, initial_panels: int):
     err_sum = math.fsum(item[5] for item in heap) + truncation_err
     converged = tail_done and err_sum <= max(abs_tol, rel_tol * abs(total))
     if not converged:
+        cause = ("truncated an unresolved oscillatory tail" if oscillation_cut
+                 else "budget exhausted")
         # levels: this generator, _drive, its caller, that caller's caller
         warnings.warn(
-            f"adaptive quadrature budget exhausted (error estimate {err_sum:.3e}, "
+            f"adaptive quadrature {cause} (error estimate {err_sum:.3e}, "
             f"upper limit {upper:g})", RuntimeWarning, stacklevel=4)
     return IntegralResult(total, err_sum, nodes, converged)
 
@@ -492,7 +468,7 @@ def cdf_many(xs, spec: "Spectrum", cfg: QuadratureConfig | None = None,
     method = Method(method)
     shifted = method is Method.SHIFTED_CONTOUR
     kernel = _shifted_values if shifted else _imhof_values
-    s2, cnt, z2, ell = _compress(spec)
+    s2, cnt, z2, ell = spec.groups
     y0 = 10.0 + math.sqrt(ell)
     n0 = _initial_panels(y0, ell)
     positive = np.array([x for x in xs if x > 0.0])

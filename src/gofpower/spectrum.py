@@ -2,10 +2,18 @@
 
 For draws from p0 + a/sqrt(n), n times the squared Euclidean distance
 between empirical proportions and p0 converges in distribution to
-sum_k sigma_k^2 (Z_k + zeta_k)^2 over k = 1..m-1.  The sigma come from
-the eigenvalues of the m x m matrix B = H D H (D diagonal with entries
-1/(p0)_k, H the centering projector), whose rank is m - 1; the zeta mix
-the perturbation through the eigenvectors.
+sum_k sigma_k^2 (Z_k + zeta_k)^2 over k = 1..m-1.  The sigma_k^-2 are the
+m - 1 nonzero eigenvalues of B = H D H (D = diag(r) with r_k = 1/(p0)_k,
+H the centering projector); the zeta mix the perturbation through the
+eigenvectors.
+
+B is D compressed onto the complement of the all-ones vector, so its
+eigenpairs have a closed form (Golub 1973, SIAM Rev. 15:318).  A value r_g
+taken by c_g bins is an eigenvalue of multiplicity c_g - 1, on the vectors
+over those bins that sum to zero.  The others are the roots of the secular
+equation sum_g c_g / (r_g - lambda) = 0, one between each pair of
+consecutive distinct r_g, with eigenvectors proportional to 1/(r - lambda)
+(Bunch, Nielsen & Sorensen 1978, Numer. Math. 31:31).
 """
 
 from __future__ import annotations
@@ -19,26 +27,11 @@ import numpy as np
 from .model import DimensionError, Perturbation, ProbabilityModel
 from .quadform import stability_bound
 
-__all__ = [
-    "SpectralMatrix", "Spectrum", "EigensolverError", "DegenerateModelError",
-    "build_b_matrix", "eigendecompose", "compute_spectrum",
-]
+__all__ = ["Spectrum", "DegenerateModelError", "eigendecompose", "compute_spectrum"]
 
-JACOBI_REL_TOL = 1e-14     # off-diagonal Frobenius norm relative to ||B||_F
-JACOBI_MAX_SWEEPS = 50
 DEGENERATE_REL_TOL = 1e-10  # eigenvalues below this times the largest are "zero"
-NULLSPACE_REL_TOL = 1e-12   # ||B 1||_inf relative to max |B_jk|
-
-
-class EigensolverError(RuntimeError):
-    """Jacobi sweeps did not reach the target off-diagonal norm."""
-
-    def __init__(self, residual: float, target: float):
-        super().__init__(
-            f"eigensolver failed to converge: off-diagonal norm {residual:.3e} "
-            f"above target {target:.3e} after {JACOBI_MAX_SWEEPS} sweeps")
-        self.residual = residual
-        self.target = target
+# relative gap under which two variances are treated as one eigenvalue group
+_GROUP_RTOL = 1e-12
 
 
 class DegenerateModelError(ValueError):
@@ -56,22 +49,32 @@ class DegenerateModelError(ValueError):
         self.condition_ratio = condition_ratio
 
 
-@dataclass(frozen=True, eq=False)
-class SpectralMatrix:
-    """Dense symmetric B = H D H with the all-ones vector in its null space."""
+def _groups(sigma, zeta):
+    """Group equal variances: (sigma2, multiplicity, summed zeta^2, ell).
 
-    m: int
-    entries: np.ndarray
-
-    def __post_init__(self):
-        b = self.entries
-        if b.shape != (self.m, self.m):
-            raise DimensionError(f"expected a {self.m}x{self.m} matrix, got {b.shape}")
-        if not np.array_equal(b, b.T):
-            raise ValueError("spectral matrix must be exactly symmetric")
-        scale = float(np.abs(b).max())
-        if scale > 0 and float(np.abs(b.sum(axis=1)).max()) > NULLSPACE_REL_TOL * scale:
-            raise ValueError("the all-ones vector is not in the null space")
+    The distribution depends on the zetas of an eigenvalue group only
+    through their summed squares, so the grouped integrand is exactly the
+    ungrouped one at a fraction of the cost when eigenvalues repeat.
+    """
+    sigma2 = sigma ** 2
+    zeta2 = zeta ** 2
+    order = np.argsort(sigma2)[::-1]
+    s2 = sigma2[order]
+    z2 = zeta2[order]
+    lead = s2[0]
+    g_s, g_n, g_z = [lead], [0], [0.0]
+    for s, z in zip(s2, z2):
+        if lead - s > _GROUP_RTOL * lead:
+            lead = s
+            g_s.append(s)
+            g_n.append(0)
+            g_z.append(0.0)
+        g_n[-1] += 1
+        g_z[-1] += z
+    arrays = (np.array(g_s), np.array(g_n, dtype=float), np.array(g_z))
+    for arr in arrays:
+        arr.flags.writeable = False
+    return (*arrays, int(sigma2.size))
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,12 +83,15 @@ class Spectrum:
 
     ``stability_rhs`` caches the a-priori numerator bound used to pick the
     integral representation; it is 1 exactly when all zeta vanish.
+    ``groups`` is the law as the integrands use it, built once here:
+    (sigma^2 per group, multiplicity, summed zeta^2, ell), read-only.
     """
 
     ell: int
     sigma: np.ndarray
     zeta: np.ndarray
     stability_rhs: float = field(default=math.nan)
+    groups: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         sigma = np.asarray(self.sigma, dtype=float)
@@ -104,6 +110,7 @@ class Spectrum:
             arr.flags.writeable = False
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "zeta", zeta)
+        object.__setattr__(self, "groups", _groups(sigma, zeta))
 
     @classmethod
     def from_params(cls, sigma, zeta) -> "Spectrum":
@@ -138,136 +145,72 @@ class Spectrum:
         return json.dumps(self.as_dict(), **kwargs)
 
 
-def build_b_matrix(model: ProbabilityModel) -> SpectralMatrix:
-    """Assemble B entrywise: off-diagonal -(r_j + r_k)/m + sum(r)/m^2 with
-    r_k = 1/(p0)_k, plus r_j on the diagonal.
+def eigendecompose(p0, a):
+    """Nonzero eigenvalues of B = H diag(1/p0) H, ascending, and the
+    components eta of ``a`` along matching unit eigenvectors.
 
-    The entrywise form is exactly symmetric by construction and avoids the
-    rounding of an explicit triple product.
+    Each secular root is bisected on tau = lambda - pole, from the nearer
+    pole of its gap, until the bracket is two adjacent doubles; forming
+    r - lambda as (r - pole) - tau keeps the eigenvector accurate next to a
+    pole.  Eigenvectors are signed so that their first entry is positive.
+    Within a tied group the eigenbasis is free: one vector is taken along
+    the group's part of ``a``, so the group's first eta is |a_G - mean(a_G)|
+    and the others are 0.
     """
-    m = model.m
-    r = 1.0 / model.probs
-    mean2 = float(r.sum()) / (m * m)
-    b = mean2 - (r[:, None] + r[None, :]) / m
-    b[np.diag_indices(m)] += r
-    return SpectralMatrix(m=m, entries=b)
+    p0 = np.asarray(p0, dtype=float)
+    a = np.asarray(a, dtype=float)
+    # a NaN pole would keep the bisection below live for ever
+    if p0.ndim != 1 or p0.shape != a.shape or not np.all((p0 > 0) & np.isfinite(p0)):
+        raise ValueError("p0 must be finite and positive, with a of the same length")
+    r = 1.0 / p0
+    poles, which, cnt = np.unique(r, return_inverse=True, return_counts=True)
 
+    # tied groups: r_g itself, c_g - 1 times
+    lam_tied = np.repeat(poles, cnt - 1)
+    eta_tied = np.zeros(lam_tied.size)
+    spread = np.bincount(which, (a - (np.bincount(which, a) / cnt)[which]) ** 2)
+    tied = cnt > 1
+    eta_tied[(np.cumsum(cnt - 1) - (cnt - 1))[tied]] = np.sqrt(spread[tied])
 
-def _round_robin(m: int):
-    """Tournament pairing: each of m-1 rounds rotates m/2 disjoint pairs."""
-    players = list(range(m)) if m % 2 == 0 else list(range(m)) + [-1]
-    n = len(players)
-    rounds = []
-    for _ in range(n - 1):
-        p = np.array([players[i] for i in range(n // 2)])
-        q = np.array([players[n - 1 - i] for i in range(n // 2)])
-        keep = (p >= 0) & (q >= 0)
-        rounds.append((p[keep], q[keep]))
-        players = [players[0], players[-1]] + players[1:-1]
-    return rounds
-
-
-def _off_norm(a: np.ndarray) -> float:
-    # direct masked sum; trace-subtraction cancels catastrophically when the
-    # diagonal dominates
-    off = a.copy()
-    np.fill_diagonal(off, 0.0)
-    return float(np.sqrt((off * off).sum()))
-
-
-def eigendecompose(bmat: SpectralMatrix, *, rel_tol: float = JACOBI_REL_TOL,
-                   max_sweeps: int = JACOBI_MAX_SWEEPS):
-    """Cyclic Jacobi eigendecomposition of a symmetric matrix.
-
-    Each sweep runs the round-robin schedule of disjoint rotation pairs;
-    rotations within a round commute exactly, so applying them
-    simultaneously (vectorized) equals applying them one by one.
-    Returns eigenvalues in descending order (the rank-deficient zero last)
-    and the orthogonal matrix of matching eigenvector columns, each column
-    signed so its first nonnegligible entry is positive.
-    """
-    m = bmat.m
-    a = bmat.entries.astype(float, copy=True)
-    q = np.eye(m)
-    frob = float(np.linalg.norm(a, "fro"))
-    if frob == 0.0:
-        return np.zeros(m), q
-
-    target = rel_tol * frob
-    rounds = _round_robin(m)
-    converged = False
-    for _ in range(max_sweeps):
-        if _off_norm(a) <= target:
-            converged = True
+    # secular roots: f(lambda) = sum_g c_g/(r_g - lambda) rises from -inf to
+    # +inf across each gap, so its sign at the midpoint names the nearer pole
+    half = 0.5 * (poles[1:] - poles[:-1])
+    upper = (1.0 / ((poles - poles[:-1, None]) - half[:, None])) @ cnt < 0.0
+    pole = np.where(upper, poles[1:], poles[:-1])
+    delta = poles - pole[:, None]
+    lo = np.where(upper, -half, 0.0)
+    hi = np.where(upper, 0.0, half)
+    while True:
+        mid = 0.5 * (lo + hi)
+        live = np.flatnonzero((mid != lo) & (mid != hi))
+        if live.size == 0:
             break
-        for p, r in rounds:
-            apq = a[p, r]
-            nz = apq != 0.0
-            if not nz.any():
-                continue
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                tau = np.where(nz, (a[r, r] - a[p, p]) / np.where(nz, 2.0 * apq, 1.0), 0.0)
-                big = np.abs(tau) > 1e150
-                tau_safe = np.where(big, 1.0, tau)
-                t = np.where(
-                    tau_safe == 0.0, 1.0,
-                    np.sign(tau_safe) / (np.abs(tau_safe) + np.sqrt(1.0 + tau_safe ** 2)))
-                t = np.where(big, 0.5 / np.where(big, tau, 1.0), t)
-            t = np.where(nz, t, 0.0)
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = t * c
-            rows_p = a[p, :].copy()
-            rows_q = a[r, :].copy()
-            a[p, :] = c[:, None] * rows_p - s[:, None] * rows_q
-            a[r, :] = s[:, None] * rows_p + c[:, None] * rows_q
-            cols_p = a[:, p].copy()
-            cols_q = a[:, r].copy()
-            a[:, p] = c[None, :] * cols_p - s[None, :] * cols_q
-            a[:, r] = s[None, :] * cols_p + c[None, :] * cols_q
-            a[p, r] = 0.0
-            a[r, p] = 0.0
-            qp = q[:, p].copy()
-            qq = q[:, r].copy()
-            q[:, p] = c[None, :] * qp - s[None, :] * qq
-            q[:, r] = s[None, :] * qp + c[None, :] * qq
-    else:
-        converged = _off_norm(a) <= target
-    if not converged:
-        raise EigensolverError(_off_norm(a), target)
+        t = mid[live]
+        above = (1.0 / (delta[live] - t[:, None])) @ cnt > 0.0
+        hi[live] = np.where(above, t, hi[live])
+        lo[live] = np.where(above, lo[live], t)
+    tau = np.where(upper, lo, hi)   # the end away from the pole: never 0
+    v = tau[:, None] / (delta - tau[:, None])   # tau/(r_g - lambda), |v| <= 1
+    v *= np.sign(v[:, which[0]])[:, None]
+    eta_sec = (v @ np.bincount(which, a)) / np.sqrt((v * v) @ cnt)
 
-    eigvals = np.diag(a).copy()
-    order = np.argsort(eigvals)[::-1]
-    eigvals = eigvals[order]
-    q = q[:, order]
-    # reproducible eigenvector signs: first nonnegligible entry positive
-    for k in range(m):
-        col = q[:, k]
-        idx = np.flatnonzero(np.abs(col) > 1e-12)
-        if idx.size and col[idx[0]] < 0.0:
-            q[:, k] = -col
-    return eigvals, q
+    lam = np.concatenate([lam_tied, pole + tau])
+    order = np.argsort(lam, kind="stable")
+    return lam[order], np.concatenate([eta_tied, eta_sec])[order]
 
 
 def compute_spectrum(model: ProbabilityModel, pert: Perturbation) -> Spectrum:
     """Full pipeline from (p0, a) to the limit-law parameters.
 
-    sigma_k = 1/sqrt(lambda_k) over the m-1 nonzero eigenvalues,
-    zeta_k = (Q~^T a)_k / sigma_k with Q~ the eigenvector block for those
-    eigenvalues; (sigma, zeta) are then reordered jointly so sigma is
-    descending.
+    sigma_k = 1/sqrt(lambda_k) over the m-1 nonzero eigenvalues, ascending,
+    so sigma is descending; zeta_k = eta_k / sigma_k with eta_k the
+    component of ``a`` along the k-th unit eigenvector.
     """
     if pert.m != model.m:
         raise DimensionError(
             f"perturbation has {pert.m} bins, model has {model.m}")
-    bmat = build_b_matrix(model)
-    eigvals, q = eigendecompose(bmat)
-    m = model.m
-    lead = eigvals[:m - 1]
-    if np.any(lead <= DEGENERATE_REL_TOL * eigvals[0]):
-        ratio = float(model.probs.max() / model.probs.min())
-        raise DegenerateModelError(ratio)
-    sigma = 1.0 / np.sqrt(lead)
-    eta = q[:, :m - 1].T @ pert.entries
-    zeta = eta / sigma
-    order = np.argsort(sigma)[::-1]
-    return Spectrum(ell=m - 1, sigma=sigma[order], zeta=zeta[order])
+    lam, eta = eigendecompose(model.probs, pert.entries)
+    if lam[0] <= DEGENERATE_REL_TOL * lam[-1]:
+        raise DegenerateModelError(float(model.probs.max() / model.probs.min()))
+    sigma = 1.0 / np.sqrt(lam)
+    return Spectrum(ell=model.m - 1, sigma=sigma, zeta=eta / sigma)

@@ -5,6 +5,7 @@ identities, deliberately without importing anything from ``gofpower``, so
 that agreement between the two is a genuine two-route check.
 """
 
+import decimal
 import math
 
 _EPS = 1e-16
@@ -115,3 +116,46 @@ def noncentral_chi2_cdf(df: float, noncentrality: float, x: float) -> float:
         if 1.0 - cum_weight < 1e-14:
             break
     return min(1.0, total)
+
+
+def secular_spectrum(p0, a, digits: int = 50):
+    """Nonzero spectrum of B = H diag(1/p0) H in ``digits``-digit decimals.
+
+    Returns (lambda, multiplicity, summed zeta^2) per distinct eigenvalue,
+    lambda ascending, where zeta_k^2 = lambda_k (q_k . a)^2 over unit
+    eigenvectors q_k.  The float inputs are converted exactly.  A value r
+    taken by c entries of 1/p0 is an eigenvalue of multiplicity c - 1 with
+    summed zeta^2 = r |a_G - mean(a_G)|^2; every other eigenvalue is a root
+    of sum_g c_g / (r_g - lambda) = 0, found by bisection inside each gap
+    between consecutive r_g, with eigenvector 1/(r - lambda).
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        one = decimal.Decimal(1)
+        groups: dict = {}
+        for p, ak in zip(p0, a):
+            groups.setdefault(one / decimal.Decimal(float(p)), []).append(
+                decimal.Decimal(float(ak)))
+        poles = sorted(groups)
+        out = []
+        for r in poles:
+            members = groups[r]
+            if len(members) > 1:
+                mean = sum(members) / len(members)
+                out.append((r, len(members) - 1,
+                            r * sum((x - mean) ** 2 for x in members)))
+        stop = decimal.Decimal(10) ** (6 - digits)
+        for lo, hi in zip(poles[:-1], poles[1:]):
+            left, right = lo, hi
+            while right - left > stop * hi:
+                lam = (left + right) / 2
+                f = sum(len(groups[r]) / (r - lam) for r in poles)
+                if f > 0:
+                    right = lam
+                else:
+                    left = lam
+            lam = (left + right) / 2
+            dot = sum(sum(groups[r]) / (r - lam) for r in poles)
+            norm2 = sum(len(groups[r]) / (r - lam) ** 2 for r in poles)
+            out.append((lam, 1, lam * dot * dot / norm2))
+        return sorted(out)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.stats as st
 
-from oracles import chi2_cdf, chi2_quantile, noncentral_chi2_cdf
+from oracles import chi2_cdf, chi2_quantile, noncentral_chi2_cdf, secular_spectrum
 
 
 def test_chi2_known_values():
@@ -53,3 +53,36 @@ def test_edge_cases():
     assert noncentral_chi2_cdf(5, 2.0, -1.0) == 0.0
     with pytest.raises(ValueError):
         chi2_quantile(3, 1.5)
+
+
+@pytest.mark.parametrize("p0", [
+    [0.1, 0.2, 0.3, 0.4],
+    [0.2, 0.2, 0.2, 0.1, 0.3],                  # a tied group of three
+    [0.25, 0.25 * (1 + 1e-14), 0.3, 0.2 - 0.25e-14],  # near-tie
+    [1e-9, 0.5, 0.25, 0.25 - 1e-9],             # ratio 5e8 and a near-tie
+])
+def test_secular_spectrum_against_mpmath_eigsy(p0):
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(len(p0))
+    a = rng.normal(size=len(p0))
+    a -= a.mean()
+    spec = secular_spectrum(p0, a)
+    m = len(p0)
+    with mpmath.workdps(60):
+        r = [1 / mpmath.mpf(float(p)) for p in p0]
+        h = mpmath.eye(m) - mpmath.ones(m) / m
+        b = h * mpmath.diag(r) * h
+        vals, vecs = mpmath.eigsy(b)
+        order = sorted(range(m), key=lambda k: vals[k])[1:]   # drop the zero
+        av = mpmath.matrix([mpmath.mpf(float(x)) for x in a])
+        k = 0
+        for lam, mult, zeta2 in spec:
+            want_zeta2 = 0
+            for j in order[k:k + mult]:
+                assert abs(vals[j] - mpmath.mpf(str(lam))) <= mpmath.mpf(10) ** -35 * vals[j]
+                q = vecs[:, j]
+                want_zeta2 += vals[j] * (q.T * av)[0] ** 2
+            k += mult
+            assert abs(mpmath.mpf(str(zeta2)) - want_zeta2) <= (
+                mpmath.mpf(10) ** -30 * (1 + want_zeta2))
+        assert k == m - 1

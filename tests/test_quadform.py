@@ -6,6 +6,7 @@ quadrature path).
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from gofpower.quadform import (
     Method,
     NumericalFailureError,
     QuadratureConfig,
-    _compress,
     _imhof_values,
     _shifted_values,
     adaptive_integrate,
@@ -102,9 +102,34 @@ class TestAdaptiveIntegrate:
 
     def test_budget_exhaustion_flagged(self):
         cfg = QuadratureConfig(max_subdivisions=3)
-        with pytest.warns(RuntimeWarning):
+        with pytest.warns(RuntimeWarning, match="adaptive quadrature budget exhausted"):
             res = adaptive_integrate(lambda y: np.sin(y) / (math.pi * y), cfg)
         assert not res.converged
+
+    @pytest.mark.parametrize("sigma, zeta, x", [
+        # two small-ell Imhof spectra with wide sigma^2 spread (7e4 and 3.5e7),
+        # rounded from the benchmark's seed-1 models r0-model25 and r0-model64
+        ([0.62142, 0.436464, 0.146305, 0.0633054, 0.00876366, 0.00713073,
+          0.00641493, 0.00234644],
+         [-0.0333496, 0.0228643, 0.329082, 0.398596, 0.965546, 7.55654,
+          -0.832281, -3.2002], 3.0),
+        ([0.706899, 0.0221398, 0.0140064, 0.0140064, 0.000142311, 0.000120276],
+         [0.00312133, 0.0481683, 0.138424, 0.0, -1.95659, 11.373], 0.5),
+    ])
+    def test_oscillation_truncation_named(self, sigma, zeta, x):
+        # the integrand decays only algebraically, so the extension windows
+        # outgrow the rule before the tail is negligible; the stop is the
+        # oscillation truncation, with budget to spare, and the warning says so
+        spec = Spectrum.from_params(sigma, zeta)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            ev = cdf(x, spec)
+        assert ev.method is Method.IMHOF
+        assert not ev.converged
+        messages = [str(w.message) for w in caught]
+        assert messages and all(
+            m.startswith("adaptive quadrature truncated an unresolved oscillatory tail")
+            for m in messages)
 
     def test_nan_integrand_raises(self):
         def bad(y):
@@ -343,7 +368,7 @@ class TestRealArithmeticKernels:
                 spec = Spectrum.from_params(np.repeat(spec.sigma[:3], 3),
                                             np.resize(spec.zeta, 9))
             xs = rng.uniform(0.1, 5.0, 3) * spec.mean()
-            got = kernel(ys, xs, *_compress(spec))
+            got = kernel(ys, xs, *spec.groups)
             for row, x in zip(range(3), xs):
                 want = ref(ys[row], x, spec)
                 assert np.all(np.abs(got[row] - want.imag) <= 1e-13 * np.abs(want))

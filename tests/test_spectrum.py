@@ -1,10 +1,13 @@
-"""Spectral matrix assembly, Jacobi eigendecomposition, limit-law parameters."""
+"""Closed-form (secular-equation) spectrum and limit-law parameters."""
 
+import decimal
 import json
 import math
 
 import numpy as np
 import pytest
+
+from oracles import secular_spectrum
 
 from gofpower.model import (
     Perturbation,
@@ -16,12 +19,12 @@ from gofpower.model import (
 )
 from gofpower.spectrum import (
     DegenerateModelError,
-    SpectralMatrix,
     Spectrum,
-    build_b_matrix,
     compute_spectrum,
     eigendecompose,
 )
+
+EPS = np.finfo(float).eps
 
 
 def random_model_pert(rng, m):
@@ -32,104 +35,163 @@ def random_model_pert(rng, m):
     return ProbabilityModel(p), Perturbation(a)
 
 
-class TestBuildBMatrix:
-    def test_uniform_two_bins(self):
-        b = build_b_matrix(uniform_model(2)).entries
-        assert np.allclose(b, [[1.0, -1.0], [-1.0, 1.0]], atol=1e-14)
+def b_matrix(p0):
+    # B = H D H entrywise: r_j on the diagonal, -(r_j + r_k)/m + sum(r)/m^2
+    r = 1.0 / np.asarray(p0, dtype=float)
+    m = r.size
+    b = float(r.sum()) / (m * m) - (r[:, None] + r[None, :]) / m
+    b[np.diag_indices(m)] += r
+    return b
 
-    def test_uniform_ten_bins_is_scaled_projector(self):
-        b = build_b_matrix(uniform_model(10)).entries
-        expected = np.full((10, 10), -1.0)
-        np.fill_diagonal(expected, 9.0)
-        assert np.allclose(b, expected, atol=1e-13)
 
-    def test_one_third_two_thirds(self):
-        b = build_b_matrix(ProbabilityModel([1 / 3, 2 / 3])).entries
-        assert np.allclose(b, [[1.125, -1.125], [-1.125, 1.125]], atol=1e-14)
+def secular_case(seed, kind, ratio):
+    """p0 with max/min = ratio (1 is uniform): distinct entries, tied
+    levels, or pairs that differ by a few parts in 1e14; a random a."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(5, 40))
+    if kind == "distinct":
+        u = np.concatenate([[0.0, 1.0], rng.random(m - 2)])
+    elif kind == "tied":
+        levels = np.concatenate([[0.0, 1.0], rng.random(3)])
+        u = levels[np.concatenate([np.arange(5), rng.integers(0, 5, m - 5)])]
+    else:
+        half = np.concatenate([[0.0, 1.0], rng.random(m // 2 - 1)])
+        u = np.concatenate([half, half[:m - half.size]])
+    w = ratio ** rng.permutation(u)
+    if kind == "near-tied":
+        w[m // 2:] *= 1.0 + 1e-14 * rng.integers(1, 5, m - m // 2)
+    a = rng.normal(size=m)
+    a -= a.mean()
+    return ProbabilityModel(w / w.sum()), Perturbation(a)
 
-    def test_matches_triple_product(self):
-        rng = np.random.default_rng(5)
-        for m in (2, 3, 7, 30):
-            model, _ = random_model_pert(rng, m)
-            b = build_b_matrix(model).entries
-            h = np.eye(m) - np.full((m, m), 1.0 / m)
-            d = np.diag(1.0 / model.probs)
-            assert np.allclose(b, h @ d @ h, atol=1e-10 * np.abs(b).max())
 
-    def test_exact_symmetry_and_nullspace(self):
-        rng = np.random.default_rng(6)
-        for m in (2, 5, 40):
-            model, _ = random_model_pert(rng, m)
-            bm = build_b_matrix(model)
-            b = bm.entries
-            assert np.array_equal(b, b.T)
-            assert np.abs(b.sum(axis=1)).max() <= 1e-12 * np.abs(b).max()
+SECULAR_CASES = [(seed, kind, ratio)
+                 for seed, kind in enumerate(("distinct", "tied", "near-tied"))
+                 for ratio in (1.0, 1.001, 10.0, 1e3, 1e6, 1e9)]
 
-    def test_invariants_enforced(self):
-        asym = np.array([[1.0, -1.0], [-0.5, 0.5]])
-        with pytest.raises(ValueError):
-            SpectralMatrix(m=2, entries=asym)
-        no_null = np.eye(3)
-        with pytest.raises(ValueError):
-            SpectralMatrix(m=3, entries=no_null)
+
+def oracle_runs(model, pert):
+    """The oracle's distinct eigenvalues as runs (start, length, lambda,
+    summed zeta^2) over a spectrum's entries, which run by lambda ascending."""
+    runs, k = [], 0
+    for lam, mult, zeta2 in secular_spectrum(model.probs, pert.entries):
+        runs.append((k, mult, lam, zeta2))
+        k += mult
+    assert k == model.m - 1
+    return runs
 
 
 class TestEigendecompose:
     def test_hand_checked_two_by_two(self):
-        bm = build_b_matrix(uniform_model(2))
-        vals, q = eigendecompose(bm)
-        assert vals == pytest.approx([2.0, 0.0], abs=1e-14)
-        assert np.allclose(q @ np.diag(vals) @ q.T, bm.entries, atol=1e-14)
+        # uniform: B = [[1, -1], [-1, 1]], eigenvalue 2 on (1, -1)/sqrt(2)
+        lam, eta = eigendecompose([0.5, 0.5], [0.25, -0.25])
+        assert lam.tolist() == [2.0]
+        assert eta == pytest.approx([math.sqrt(0.125)], rel=1e-15)
+        # p0 = (1/3, 2/3): B = 1.125 [[1, -1], [-1, 1]], the secular root of
+        # 1/(3 - lambda) + 1/(1.5 - lambda) = 0
+        lam, eta = eigendecompose([1 / 3, 2 / 3], [0.1, -0.1])
+        assert lam == pytest.approx([2.25], rel=2 * EPS)
+        assert eta == pytest.approx([0.1 * math.sqrt(2.0)], rel=1e-15)
 
     def test_rank_nine_projector(self):
-        bm = build_b_matrix(uniform_model(10))
-        vals, _ = eigendecompose(bm)
-        assert vals[:9] == pytest.approx([10.0] * 9, rel=1e-13)
-        assert abs(vals[9]) < 1e-10 * vals[0]
-
-    def test_zero_matrix(self):
-        zero = SpectralMatrix(m=3, entries=np.zeros((3, 3)))
-        vals, q = eigendecompose(zero)
-        assert not vals.any()
-        assert np.array_equal(q, np.eye(3))
+        # uniform over 10 bins: B = 10 H, the value 10 nine times
+        lam, _ = eigendecompose(uniform_model(10).probs, np.zeros(10))
+        assert lam.tolist() == [10.0] * 9
 
     @pytest.mark.parametrize("m", [2, 5, 17, 60, 100])
     def test_contract_on_random_models(self, m):
         rng = np.random.default_rng(m)
-        model, _ = random_model_pert(rng, m)
-        bm = build_b_matrix(model)
-        vals, q = eigendecompose(bm)
-        scale = np.abs(bm.entries).max()
-        # descending order, theoretical zero last
-        assert np.all(np.diff(vals) <= 0)
-        assert abs(vals[-1]) <= 1e-10 * vals[0]
-        # reconstruction and orthonormality
-        assert np.abs(q @ np.diag(vals) @ q.T - bm.entries).max() <= 1e-12 * scale
-        assert np.abs(q.T @ q - np.eye(m)).max() <= 1e-12
+        model, pert = random_model_pert(rng, m)
+        lam, eta = eigendecompose(model.probs, pert.entries)
+        ref = np.linalg.eigvalsh(b_matrix(model.probs))
+        # the m - 1 nonzero eigenvalues, ascending
+        assert lam.shape == eta.shape == (m - 1,)
+        assert np.all(np.diff(lam) >= 0) and lam[0] > 0
+        assert np.abs(lam - ref[1:]).max() <= EPS * m * ref[-1]
+        # orthonormal eigenvectors spanning the complement of 1, which holds
+        # a: the components keep its norm
+        a = pert.entries
+        assert float(eta @ eta) == pytest.approx(float(a @ a), rel=1e-13)
 
     def test_agrees_with_lapack(self):
         for _, model, _ in builtin_examples():
-            bm = build_b_matrix(model)
-            vals, _ = eigendecompose(bm)
-            ref = np.linalg.eigvalsh(bm.entries)[::-1]
-            assert np.abs(vals - ref).max() <= 1e-10 * ref.max()
+            lam, _ = eigendecompose(model.probs, np.zeros(model.m))
+            ref = np.linalg.eigvalsh(b_matrix(model.probs))[1:]
+            assert np.abs(lam - ref).max() <= EPS * model.m * ref[-1]
+            spec = compute_spectrum(model, zero_perturbation(model.m))
+            assert np.abs(1.0 / spec.sigma ** 2 - ref).max() <= EPS * model.m * ref[-1]
 
     def test_sign_convention(self):
-        bm = build_b_matrix(uniform_model(6))
-        _, q = eigendecompose(bm)
-        for k in range(6):
-            lead = q[:, k][np.abs(q[:, k]) > 1e-12][0]
-            assert lead > 0
+        # with a = e_1 - 1/m, eta_k = q_k . a = (q_k)_1, since q_k sums to 0:
+        # positive for every secular root
+        rng = np.random.default_rng(12)
+        for m in (2, 7, 30):
+            p = rng.uniform(0.05, 1.0, m)
+            a = -np.full(m, 1.0 / m)
+            a[0] += 1.0
+            lam, eta = eigendecompose(p / p.sum(), a)
+            assert np.all(np.diff(lam) > 0)
+            assert np.all(eta > 0)
+        # a tied group's basis follows a: eta >= 0 on its first member only
+        lam, eta = eigendecompose(uniform_model(6).probs, [-0.5, 0.1, 0.1, 0.1, 0.1, 0.1])
+        assert eta[0] == pytest.approx(math.sqrt(0.3), rel=1e-15)
+        assert not eta[1:].any()
 
-    def test_nonconvergence_raises_with_residual(self):
-        from gofpower.spectrum import EigensolverError
+    @pytest.mark.parametrize("p0, a", [
+        ([0.5, math.nan], [0.0, 0.0]), ([0.5, 0.0], [0.0, 0.0]),
+        ([1.5, -0.5], [0.0, 0.0]), ([0.5, 0.5], [0.0, 0.0, 0.0])])
+    def test_rejects_invalid_input(self, p0, a):
+        with pytest.raises(ValueError):
+            eigendecompose(p0, a)
 
-        rng = np.random.default_rng(2)
-        model, _ = random_model_pert(rng, 12)
-        bm = build_b_matrix(model)
-        with pytest.raises(EigensolverError) as err:
-            eigendecompose(bm, rel_tol=1e-30, max_sweeps=1)
-        assert err.value.residual > err.value.target
+    @pytest.mark.parametrize("seed, kind, ratio", SECULAR_CASES)
+    def test_sigma2_within_4_ulp_of_oracle(self, seed, kind, ratio):
+        model, pert = secular_case(seed, kind, ratio)
+        spec = compute_spectrum(model, pert)
+        s2 = spec.sigma ** 2
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            for start, mult, lam, _ in oracle_runs(model, pert):
+                for k in range(start, start + mult):
+                    rel = abs(decimal.Decimal(float(s2[k])) * lam - 1)
+                    assert rel <= 4 * EPS, (k, float(rel) / EPS)
+
+    # Left out: near-tied at ratio 1, where all poles 1/p0 lie within 4e-14
+    # of each other.  Rounding 1/p0 to double moves them by 0.25 % of that
+    # spread, so the float p0 does not fix each root's zeta^2 better than that.
+    @pytest.mark.parametrize("seed, kind, ratio", [
+        c for c in SECULAR_CASES if c[1:] != ("near-tied", 1.0)])
+    def test_group_zeta2_matches_oracle(self, seed, kind, ratio):
+        # when the poles crowd within 1e-3 of each other, their gaps are
+        # ~1e-5 of their size, and the eigenvectors move by eps/gap ~ 1e-11
+        # under the rounding of 1/p0 itself; wider spreads get 1e-13
+        tol = 1e-10 if ratio == 1.001 else 1e-13
+        model, pert = secular_case(seed, kind, ratio)
+        spec = compute_spectrum(model, pert)
+        z2 = spec.zeta ** 2
+        runs = oracle_runs(model, pert)
+        total = float(sum(zeta2 for *_, zeta2 in runs))
+        for start, mult, _, zeta2 in runs:
+            got = float(z2[start:start + mult].sum())
+            assert abs(got - float(zeta2)) <= tol * total
+
+    def test_tie_group_carries_zeta_on_first_member(self):
+        p0 = np.array([0.1, 0.2, 0.1, 0.1, 0.3, 0.2])
+        a = np.array([0.3, -0.1, -0.2, 0.05, -0.1, 0.05])
+        lam, eta = eigendecompose(p0, a)
+        # r = 10/3 once, 5 twice and 10 three times: 5 once and 10 twice,
+        # plus one secular root in each of the two gaps
+        assert lam.size == 5
+        assert lam[1] == 5.0 and lam[3] == lam[4] == 10.0
+        assert 10.0 / 3.0 < lam[0] < 5.0 < lam[2] < 10.0
+        assert eta[1] == pytest.approx(abs(a[1] - a[5]) / math.sqrt(2.0), rel=1e-15)
+        group = a[[0, 2, 3]] - a[[0, 2, 3]].mean()
+        assert eta[3] == pytest.approx(math.sqrt(group @ group), rel=1e-15)
+        assert eta[4] == 0.0
+        # lambda ascending is sigma descending, entry for entry
+        spec = compute_spectrum(ProbabilityModel(p0), Perturbation(a))
+        assert spec.zeta[3] == pytest.approx(eta[3] * math.sqrt(10.0), rel=1e-15)
+        assert spec.zeta[4] == 0.0
 
 
 class TestComputeSpectrum:
@@ -155,7 +217,11 @@ class TestComputeSpectrum:
     def test_null_from_alternative_is_bitwise_identical(self):
         # sigma depends on p0 alone, so the null spectrum needs no second
         # eigendecomposition
-        for _, model, pert in builtin_examples():
+        cases = [(model, pert) for _, model, pert in builtin_examples()]
+        cases += [secular_case(seed, kind, ratio) for seed, kind, ratio in (
+            (5, "tied", 10.0), (6, "tied", 1e6), (7, "distinct", 1e9),
+            (8, "near-tied", 1e6))]
+        for model, pert in cases:
             null = compute_spectrum(model, pert).null()
             direct = compute_spectrum(model, zero_perturbation(model.m))
             assert null.ell == direct.ell
