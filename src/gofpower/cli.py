@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import os
 import sys
 import time
 from pathlib import Path
@@ -56,13 +55,6 @@ def _quad_config(args) -> QuadratureConfig:
                             stability_threshold=args.stability_threshold)
 
 
-def _threads(args) -> int | None:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("GOFPOWER_THREADS")
-    return int(env) if env else None
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="gofpower",
@@ -92,7 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--n", type=int, default=10 ** 6)
     sim.add_argument("--trials", type=int, default=40_000)
     sim.add_argument("--seed", type=int, default=1)
-    sim.add_argument("--threads", type=int, default=None)
     sim.add_argument("--out", required=True, help="statistics dump path")
     sim.add_argument("--dump-format", choices=("csv", "npy"), default="csv")
 
@@ -101,7 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
     ex.add_argument("--n", type=int, default=10 ** 6)
     ex.add_argument("--trials", type=int, default=40_000)
     ex.add_argument("--seed", type=int, default=1)
-    ex.add_argument("--threads", type=int, default=None)
     ex.add_argument("--grid-step", type=float, default=1.0 / 2000.0)
     ex.add_argument("--grid-max", type=float, default=5.0)
     _add_quad_args(ex)
@@ -152,8 +142,7 @@ def cmd_power(args) -> int:
 
 def cmd_simulate(args) -> int:
     model, pert = _resolve_case(args)
-    sim = simulate_statistics(model, pert, args.n, args.trials, args.seed,
-                              threads=_threads(args))
+    sim = simulate_statistics(model, pert, args.n, args.trials, args.seed)
     if args.dump_format == "npy":
         np.save(args.out, sim.statistics)
     else:
@@ -170,7 +159,6 @@ def cmd_examples(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg = _quad_config(args)
     grid = default_grid(args.grid_step, args.grid_max)
-    threads = _threads(args)
     costs_path = out_dir / "costs.csv"
     written: list[Path] = [costs_path]
     try:
@@ -187,10 +175,9 @@ def cmd_examples(args) -> int:
 
                 sim_null = simulate_statistics(
                     model, zero_perturbation(model.m), args.n, args.trials,
-                    args.seed, threads=threads)
+                    args.seed)
                 sim_alt = simulate_statistics(
-                    model, pert, args.n, args.trials, args.seed + 1,
-                    threads=threads)
+                    model, pert, args.n, args.trials, args.seed + 1)
                 points = empirical_power(sim_null, sim_alt, _MC_ALPHA_GRID)
                 mc_path = out_dir / f"{name}_mc.csv"
                 written.append(mc_path)

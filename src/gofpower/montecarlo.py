@@ -1,17 +1,16 @@
 """Finite-n Monte-Carlo oracle for the scaled squared-distance statistic.
 
 Each trial draws a multinomial sample of size n from p_a = p0 + a/sqrt(n)
-and forms X_n = n * sum_k (Y_k - (p0)_k)^2.  Trials use counter-based
-per-trial random streams keyed by (seed, trial index), so results are
-bit-for-bit reproducible and independent of how trials are scheduled
-across threads.
+and forms X_n = n * sum_k (Y_k - (p0)_k)^2.  Trial t draws from its own
+counter-based Philox stream, keyed [seed mod 2^64, t] with its counter at
+zero, so results are bit-for-bit reproducible and trial t's counts do not
+depend on how many trials run or in what order.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +29,7 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
+_BLOCK = 256  # rows of counts buffered per statistic update; bounds memory
 _MIN_TAIL_TRIALS = 10  # below alpha*trials of this, quantiles are unreliable
 
 
@@ -55,20 +55,40 @@ class EmpiricalPowerPoint:
     low_sample: bool = False
 
 
-def _trial_generator(seed: int, trial: int) -> np.random.Generator:
-    key = np.array([seed & _MASK64, trial & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def _count_blocks(seed: int, n: int, p: np.ndarray, trials: int):
+    """Yield (first trial, counts) blocks of at most _BLOCK rows.
+
+    Row t of the run is trial t's multinomial(n, p) draw, equal to the draw
+    of a fresh Generator(Philox(key=[seed & _MASK64, t])).  One Philox is
+    re-keyed through its public state setter before each trial, which is
+    much cheaper than building a generator.  The block is reused: consume
+    it before asking for the next one.
+    """
+    bitgen = np.random.Philox()
+    gen = np.random.Generator(bitgen)
+    key = np.array([seed & _MASK64, 0], dtype=np.uint64)
+    state = {"bit_generator": "Philox",
+             "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+             "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
+    buf = np.empty((min(_BLOCK, trials), p.size), dtype=np.int64)
+    for lo in range(0, trials, _BLOCK):
+        rows = buf[:min(_BLOCK, trials - lo)]
+        for i in range(rows.shape[0]):
+            key[1] = lo + i
+            bitgen.state = state
+            rows[i] = gen.multinomial(n, p)
+        yield lo, rows
 
 
 def simulate_statistics(model: ProbabilityModel, pert: Perturbation,
-                        n: int, trials: int, seed: int,
-                        threads: int | None = None) -> SimulationResult:
+                        n: int, trials: int, seed: int) -> SimulationResult:
     """Simulate X_n over independent trials; same (inputs, seed) — same output.
 
     The multinomial sampler is numpy's conditional-binomial generator
     (exact binomials via inversion / BTPE), O(m) per trial regardless of n.
-    Thread-count changes cannot alter the result: trial t always consumes
-    its own stream keyed by (seed, t).
+    Trial t always consumes its own Philox stream keyed [seed mod 2^64, t],
+    so its statistic is the same whatever the trial count.
     """
     if trials < 1:
         raise ValueError("trials must be a positive integer")
@@ -76,27 +96,15 @@ def simulate_statistics(model: ProbabilityModel, pert: Perturbation,
     check = validate_alternative(alt)
     if not check.valid:
         raise AlternativeError(check.message() + f" (n={n})")
-    p_a = check.p_a
     p0 = model.probs
     inv_n = 1.0 / n
     stats = np.empty(trials)
-
-    def run(lo: int, hi: int) -> None:
-        for t in range(lo, hi):
-            counts = _trial_generator(seed, t).multinomial(n, p_a)
-            d = counts * inv_n - p0
-            stats[t] = n * float(d @ d)
-
-    if threads and threads > 1:
-        chunk = max(1, math.ceil(trials / (4 * threads)))
-        bounds = list(range(0, trials, chunk)) + [trials]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(run, lo, hi)
-                       for lo, hi in zip(bounds[:-1], bounds[1:])]
-            for fut in futures:
-                fut.result()
-    else:
-        run(0, trials)
+    for lo, counts in _count_blocks(seed, n, check.p_a, trials):
+        d = counts * inv_n - p0
+        # one 1-D dot per row: sum(axis=1), einsum or a matrix product would
+        # round some statistics differently
+        for t, row in enumerate(d, lo):
+            stats[t] = n * float(row @ row)
     stats.flags.writeable = False
     return SimulationResult(statistics=stats, n=n, trials=trials, seed=seed)
 
@@ -108,13 +116,15 @@ def empirical_power(sim_null: SimulationResult, sim_alt: SimulationResult,
     The critical value is the right-continuous empirical (1 - alpha)
     quantile of the null statistics (order statistic ceil((1-alpha)*T),
     ties resolved toward the larger value); power is the fraction of
-    alternative statistics at or above it.  The attached standard error is
+    alternative statistics at or above it, counted by bisecting the sorted
+    alternative.  The attached standard error is
     sqrt(alpha (1 - alpha) / trials).
     """
     if sim_null.n != sim_alt.n:
         raise ValueError(
             f"simulations use different n: {sim_null.n} vs {sim_alt.n}")
     snull = np.sort(sim_null.statistics)
+    salt = np.sort(sim_alt.statistics)
     trials = sim_null.trials
     out = []
     for alpha in np.asarray(alpha_grid, dtype=float):
@@ -130,7 +140,8 @@ def empirical_power(sim_null: SimulationResult, sim_alt: SimulationResult,
         # critical value so the empirical size stays at or below alpha
         rank = min(trials, int(math.floor((1.0 - alpha) * trials + 1e-9)) + 1)
         critical = snull[rank - 1]
-        power = float(np.mean(sim_alt.statistics >= critical))
+        power = (sim_alt.trials
+                 - int(np.searchsorted(salt, critical, "left"))) / sim_alt.trials
         se = math.sqrt(alpha * (1.0 - alpha) / sim_alt.trials)
         out.append(EmpiricalPowerPoint(float(alpha), power, se, low))
     return out

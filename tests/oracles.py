@@ -8,6 +8,8 @@ that agreement between the two is a genuine two-route check.
 import decimal
 import math
 
+import numpy as np
+
 _EPS = 1e-16
 _MAX_ITER = 10_000
 
@@ -159,3 +161,19 @@ def secular_spectrum(p0, a, digits: int = 50):
             norm2 = sum(len(groups[r]) / (r - lam) ** 2 for r in poles)
             out.append((lam, 1, lam * dot * dot / norm2))
         return sorted(out)
+
+
+def fresh_stream_statistics(seed: int, n: int, p_a, p0, trials: int):
+    """X_n per trial, trial t drawn from a fresh Philox keyed [seed mod 2^64, t].
+
+    The reference for the Monte-Carlo stream contract: one new generator
+    per trial, and each statistic reduced on its own count vector.
+    """
+    out = np.empty(trials)
+    inv_n = 1.0 / n
+    for t in range(trials):
+        key = np.array([seed % 2 ** 64, t], dtype=np.uint64)
+        counts = np.random.Generator(np.random.Philox(key=key)).multinomial(n, p_a)
+        d = counts * inv_n - p0
+        out[t] = n * float(d @ d)
+    return out

@@ -24,7 +24,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import chi2_cdf, noncentral_chi2_cdf
+from oracles import chi2_cdf, fresh_stream_statistics, noncentral_chi2_cdf
 
 import gofpower as gp
 from gofpower.model import builtin_examples, uniform_model, zero_perturbation
@@ -291,12 +291,15 @@ class TestCriterion7Properties:
         report("7e (diagonal power law)", worst <= 2e-9, f"worst {worst:.2e}")
         assert worst <= 2e-9
 
-    def test_monte_carlo_thread_determinism(self):
+    def test_monte_carlo_stream_contract(self):
+        # every trial's statistic equals the one a fresh Philox keyed
+        # [seed mod 2^64, t] gives, bit for bit
         model = uniform_model(10)
         pert = gp.alternating_perturbation(10, 0.2)
-        runs = [simulate_statistics(model, pert, 50_000, 2_000, SEED + 4,
-                                    threads=t).statistics
-                for t in (None, 1, 3, 8)]
-        for other in runs[1:]:
-            assert np.array_equal(runs[0], other)
-        report("7f (thread determinism)", True)
+        n, trials = 50_000, 2_000
+        p_a = gp.validate_alternative(gp.Alternative(model, pert, n)).p_a
+        for seed in (SEED + 4, -(SEED + 4), 2 ** 63 + SEED):
+            sim = simulate_statistics(model, pert, n, trials, seed)
+            expected = fresh_stream_statistics(seed, n, p_a, model.probs, trials)
+            assert sim.statistics.tobytes() == expected.tobytes()
+        report("7f (per-trial streams)", True)

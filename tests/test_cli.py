@@ -141,19 +141,13 @@ class TestSimulateCommand:
         assert code == EXIT_INPUT
         assert "bins" in err
 
-    def test_threads_env_fallback(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("GOFPOWER_THREADS", "3")
-        a, b = tmp_path / "env.csv", tmp_path / "flag.csv"
-        code, _, _ = run(capsys, "simulate", "--model", "uniform:4",
-                         "--n", "500", "--trials", "64", "--seed", "4",
-                         "--out", str(a))
-        assert code == EXIT_OK
-        monkeypatch.delenv("GOFPOWER_THREADS")
-        code, _, _ = run(capsys, "simulate", "--model", "uniform:4",
-                         "--n", "500", "--trials", "64", "--seed", "4",
-                         "--threads", "1", "--out", str(b))
-        assert code == EXIT_OK
-        assert a.read_bytes() == b.read_bytes()
+    def test_threads_flag_rejected(self, tmp_path):
+        # trials run in one thread on per-trial streams; there is no thread count
+        for command in ("simulate", "examples"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--model", "uniform:4", "--threads", "2",
+                      "--out", str(tmp_path / "x.csv")])
+            assert exc.value.code == 2
 
 
 class TestExamplesCommand:

@@ -1,19 +1,25 @@
 """Monte-Carlo simulation of the scaled statistic and empirical power."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from oracles import fresh_stream_statistics
+
 from gofpower.model import (
+    Alternative,
     AlternativeError,
+    Perturbation,
     ProbabilityModel,
     alternating_perturbation,
     builtin_examples,
     uniform_model,
+    validate_alternative,
     zero_perturbation,
 )
-from gofpower.montecarlo import empirical_power, simulate_statistics
+from gofpower.montecarlo import _count_blocks, empirical_power, simulate_statistics
 from gofpower.quadform import cdf
 from gofpower.spectrum import compute_spectrum
 
@@ -42,14 +48,20 @@ class TestSimulateStatistics:
         c = simulate_statistics(model, pert, 1000, 200, seed=8)
         assert not np.array_equal(a.statistics, c.statistics)
 
-    def test_thread_count_cannot_change_results(self):
-        model = uniform_model(7)
-        pert = zero_perturbation(7)
-        serial = simulate_statistics(model, pert, 5000, 800, seed=5, threads=1)
-        for threads in (2, 4, 7):
-            parallel = simulate_statistics(model, pert, 5000, 800, seed=5,
-                                           threads=threads)
-            assert np.array_equal(serial.statistics, parallel.statistics)
+    def test_each_trial_matches_a_fresh_generator(self):
+        # trial t is the draw of a fresh Philox keyed [seed mod 2^64, t],
+        # bit for bit; 257 and 800 trials straddle the 256-row count blocks
+        n = 5000
+        for m in (2, 7, 300):
+            model = ProbabilityModel(np.arange(m, 2 * m) / (m * (3 * m - 1) / 2))
+            pert = Perturbation(np.linspace(-0.05, 0.05, m))
+            p_a = validate_alternative(Alternative(model, pert, n)).p_a
+            for seed, trials in itertools.product((5, -3, 2 ** 63 + 1),
+                                                  (1, 257, 800)):
+                sim = simulate_statistics(model, pert, n, trials, seed)
+                expected = fresh_stream_statistics(seed, n, p_a, model.probs,
+                                                   trials)
+                assert sim.statistics.tobytes() == expected.tobytes()
 
     def test_invalid_alternative_rejected(self):
         with pytest.raises(AlternativeError) as err:
@@ -70,14 +82,12 @@ class TestSimulateStatistics:
     def test_per_bin_frequencies(self):
         # mean empirical proportions match p_a within 5 binomial standard errors
         model = ProbabilityModel([0.2, 0.3, 0.5])
-        pert = zero_perturbation(3)
         n, trials = 50, 200_000
-        sim = simulate_statistics(model, pert, n, trials, seed=13)
-        # re-derive per-bin mean occupancy from fresh draws of the same streams
-        totals = np.zeros(3)
-        for t in range(trials):
-            from gofpower.montecarlo import _trial_generator
-            totals += _trial_generator(13, t).multinomial(n, model.probs)
+        # per-bin mean occupancy of the null counts simulate_statistics draws
+        # at seed 13; the stream contract test pins these to fresh generators
+        totals = np.zeros(3, dtype=np.int64)
+        for _, counts in _count_blocks(13, n, model.probs, trials):
+            totals += counts.sum(axis=0)
         freq = totals / (n * trials)
         se = np.sqrt(model.probs * (1 - model.probs) / (n * trials))
         assert np.all(np.abs(freq - model.probs) <= 5 * se)
@@ -102,11 +112,13 @@ class TestSimulateStatistics:
 
 class TestEmpiricalPower:
     def test_self_comparison_is_diagonal(self):
-        # ten non-lattice masses keep the statistics tie-free (a tie would
-        # need two trials with equal weighted squared deviations), so the
-        # empirical quantile rank maps straight back to a tail fraction
-        primes = np.array([2, 3, 5, 7, 11, 13, 17, 19, 23, 29], dtype=float)
-        model = ProbabilityModel(primes / primes.sum())
+        # masses proportional to square roots of primes are rationally
+        # independent, so two trials tie only if their count vectors are
+        # equal up to rounding and the empirical quantile rank maps straight
+        # back to a tail fraction; rational masses such as primes / 129 put
+        # 129 n X_n on the integers and give exact ties
+        roots = np.sqrt([2, 3, 5, 7, 11, 13, 17, 19, 23, 29])
+        model = ProbabilityModel(roots / roots.sum())
         sim = simulate_statistics(model, zero_perturbation(10), 10_007, 5000, seed=23)
         assert np.unique(sim.statistics).size == sim.trials
         for pt in empirical_power(sim, sim, [0.05, 0.3, 0.5, 0.9]):
