@@ -136,7 +136,8 @@ def cmd_power(args) -> int:
         with open(args.svg, "w", encoding="utf-8") as fh:
             power_overlay_svg(fh, curve.alpha, curve.power)
     print(f"wrote {args.out}: {curve.x.size} points, "
-          f"q0={curve.meta.max_nodes_null} qa={curve.meta.max_nodes_alt}")
+          f"q0={curve.meta.max_nodes_null} qa={curve.meta.max_nodes_alt} "
+          f"cdf_points={curve.meta.cdf_points} error_bound={curve.meta.error_bound:.3g}")
     return EXIT_OK
 
 
@@ -199,7 +200,10 @@ def cmd_examples(args) -> int:
                                  f"{curve.meta.seconds_per_point:.6g}"])
                 print(f"{name}: m={model.m} q0={curve.meta.max_nodes_null} "
                       f"qa={curve.meta.max_nodes_alt} "
-                      f"t={curve.meta.seconds_per_point:.3g}s method={curve.meta.method_alt}")
+                      f"t={curve.meta.seconds_per_point:.3g}s "
+                      f"cdf_points={curve.meta.cdf_points} "
+                      f"error_bound={curve.meta.error_bound:.3g} "
+                      f"method={curve.meta.method_alt}")
     except Exception:
         for path in written:
             path.unlink(missing_ok=True)

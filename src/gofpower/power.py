@@ -2,8 +2,10 @@
 
 With F0 the null CDF (zero perturbation) and Fa the alternative CDF, the
 power function is traced by the points (1 - F0(x), 1 - Fa(x)) as x runs
-over a grid, exactly as one would plot it; no per-alpha root finding is
-involved except in the point query ``power_at``.
+over a grid.  Each CDF on the grid is read off a Chebyshev interpolant in
+u = sqrt(x) whose degree doubles until it predicts its own new nodes, with
+an error bound; no per-alpha root finding is involved except in the point
+query ``power_at``.
 """
 
 from __future__ import annotations
@@ -26,18 +28,27 @@ __all__ = [
 
 CSV_HEADER = "x,F0,Fa,alpha,power"
 ROOT_TOL = 1e-8  # |F0(x*) - (1 - alpha)| target for power_at
+START_DEGREE = 16  # first Chebyshev interpolant of a curve's CDF
 
 
 @dataclass(frozen=True)
 class CurveMeta:
-    """Cost accounting for a curve: worst node counts, amortized time, and
-    the method that evaluated the alternative CDF."""
+    """Cost accounting for a curve: worst node counts, amortized time, the
+    method that evaluated the alternative CDF, the error bound of both
+    families, and the number of CDF evaluations.
+
+    ``max_nodes_*`` and ``unconverged_points`` count over the points
+    actually evaluated (interpolation nodes, plus the grid on a fallback),
+    not over the grid.
+    """
 
     max_nodes_null: int
     max_nodes_alt: int
     seconds_per_point: float
     unconverged_points: int
     method_alt: Method
+    error_bound: float
+    cdf_points: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,15 +93,88 @@ def pvalue(x_statistic: float, null_spec: Spectrum,
     return min(1.0, max(0.0, 1.0 - cdf(x_statistic, null_spec, cfg).value))
 
 
+def _barycentric(u: np.ndarray, nodes: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Interpolant through (nodes, values) at u, by the second-kind
+    barycentric formula for Chebyshev points of the second kind.
+
+    The sums are accumulated node by node, so memory stays O(len(u)).
+    """
+    num = np.zeros_like(u)
+    den = np.zeros_like(u)
+    hit = np.full(u.shape, -1)
+    last = nodes.size - 1
+    for j, (t, f) in enumerate(zip(nodes.tolist(), values.tolist())):
+        w = (0.5 if j in (0, last) else 1.0) * (-1.0 if j % 2 else 1.0)
+        d = u - t
+        exact = d == 0.0
+        if exact.any():
+            hit[exact] = j
+            d[exact] = 1.0
+        c = w / d
+        num += c * f
+        den += c
+    out = num / den
+    on_node = hit >= 0
+    out[on_node] = values[hit[on_node]]
+    return out
+
+
+def _cdf_on_grid(xs: np.ndarray, spec: Spectrum, cfg: QuadratureConfig):
+    """F on the grid xs: (values, every CdfEvaluation spent, error bound).
+
+    F is interpolated in u = sqrt(x), where F(u^2) is smooth even for odd
+    ell, at Chebyshev points of the second kind on [sqrt(x_0), sqrt(x_-1)].
+    Each doubling N -> 2N keeps the N + 1 old points; before the N new
+    values are used, the old interpolant predicts them, and the largest
+    miss stops the doubling once it is within max(abs_tol, the largest
+    quadrature estimate).  The bound is that miss plus the Lebesgue
+    constant times the largest estimate.  A point set that would hold
+    half as many points as the grid is not built: the grid is then
+    evaluated point by point, and the bound is its largest estimate.
+    """
+    lo, hi = math.sqrt(xs[0]), math.sqrt(xs[-1])
+    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    n = START_DEGREE
+    evals: list = []
+    # the first points are spent only if at least one check can follow
+    if 2 * (2 * n + 1) < xs.size:
+        nodes = mid + half * np.cos(np.arange(n + 1) * (math.pi / n))
+        nodes[0], nodes[-1] = hi, lo
+        evals = cdf_many(nodes * nodes, spec, cfg)
+        values = np.array([e.value for e in evals])
+        while 2 * (2 * n + 1) < xs.size:
+            new_u = mid + half * np.cos((2 * np.arange(n) + 1) * (math.pi / (2 * n)))
+            new = cdf_many(new_u * new_u, spec, cfg)
+            new_f = np.array([e.value for e in new])
+            miss = float(np.max(np.abs(_barycentric(new_u, nodes, values) - new_f)))
+            evals += new
+            nodes = np.insert(new_u, np.arange(n + 1), nodes)
+            values = np.insert(new_f, np.arange(n + 1), values)
+            n *= 2
+            worst = max(e.abs_error_estimate for e in evals)
+            if miss <= max(cfg.abs_tol, worst):
+                lebesgue = 2.0 / math.pi * math.log(n + 1) + 1.0
+                curve = _barycentric(np.sqrt(xs), nodes, values)
+                return np.clip(curve, 0.0, 1.0), evals, miss + lebesgue * worst
+    on_grid = cdf_many(xs, spec, cfg)
+    return (np.array([e.value for e in on_grid]), evals + on_grid,
+            max(e.abs_error_estimate for e in on_grid))
+
+
 def power_curve(model: ProbabilityModel, pert: Perturbation,
                 grid: np.ndarray | None = None,
                 cfg: QuadratureConfig | None = None) -> PowerCurve:
     """Power curve (1 - F0(x), 1 - Fa(x)) over a strictly increasing grid.
 
     One eigendecomposition serves both spectra (the null keeps the
-    alternative's sigma with zeta = 0), and each CDF family is one
-    ``cdf_many`` call; per-point quadrature warnings are collected in the
-    meta block, not raised.
+    alternative's sigma with zeta = 0).  Each CDF family is a Chebyshev
+    interpolant in sqrt(x), grown by doubling until it predicts its new
+    nodes to the quadrature's accuracy, then evaluated on the grid and
+    clamped to [0, 1]; ``meta.error_bound`` bounds both families.  When
+    the interpolant would need half as many points as the grid, the
+    family is evaluated at every grid point with ``cdf_many`` instead.
+    Per-point quadrature warnings are collected in the meta block, not
+    raised.
     """
     cfg = cfg or DEFAULT_CONFIG
     xs = default_grid() if grid is None else np.asarray(grid, dtype=float)
@@ -104,13 +188,13 @@ def power_curve(model: ProbabilityModel, pert: Perturbation,
         # unconverged points are counted in the meta block, not raised per point
         warnings.filterwarnings(
             "ignore", message="adaptive quadrature (budget exhausted|truncated)")
-        e0 = cdf_many(xs, null_spec, cfg)
-        ea = cdf_many(xs, alt_spec, cfg)
+        f0, e0, bound0 = _cdf_on_grid(xs, null_spec, cfg)
+        fa, ea, bound_a = _cdf_on_grid(xs, alt_spec, cfg)
     dt = (time.perf_counter() - t0) / xs.size
     meta = CurveMeta(max(e.nodes_used for e in e0), max(e.nodes_used for e in ea),
-                     dt, sum(not e.converged for e in e0 + ea), ea[0].method)
-    return PowerCurve(x=xs, f0=np.array([e.value for e in e0]),
-                      fa=np.array([e.value for e in ea]), meta=meta)
+                     dt, sum(not e.converged for e in e0 + ea), ea[0].method,
+                     max(bound0, bound_a), len(e0) + len(ea))
+    return PowerCurve(x=xs, f0=f0, fa=fa, meta=meta)
 
 
 def asymptotic_power(alpha: float, null_spec: Spectrum, alt_spec: Spectrum,

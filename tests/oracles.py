@@ -177,3 +177,65 @@ def fresh_stream_statistics(seed: int, n: int, p_a, p0, trials: int):
         d = counts * inv_n - p0
         out[t] = n * float(d @ d)
     return out
+
+
+# Spectra of three seeded (p0, a) models, with sigma and zeta written out
+# repr-exact, a CDF argument x each, and F(x) from a 30-digit mpmath Imhof
+# integral: mpmath.quad over (0, Y] plus mpmath.quadosc with omega = x/2
+# beyond.  Y = 100 and 200 (and 400 for the first two) agree to 20 digits.
+SEEDED_CDF_REFERENCES = {
+    # m = 6; its stability_rhs of 3.8e34 routes it to the Imhof form
+    "r0-model76": dict(
+        sigma=[0.4840144748963909, 0.2776872746443486, 0.27271071942924285,
+               0.006020184104240193, 0.00041309798102841515],
+        zeta=[0.005438961347558565, -0.03450902760541655, 0.011137197040957345,
+              -0.5920287463476901, -12.042866629702557],
+        x=0.2739093267584571,
+        cdf=0.49187419348302585),
+    # m = 26; stability_rhs 24.1, the shifted contour
+    "r0-model85": dict(
+        sigma=[0.37025745482629996] * 6 + [0.10065437969881758]
+        + [0.06982198317498843] * 7 + [0.02057055453045713]
+        + [0.01877649726815589] * 2 + [0.007409820706381774]
+        + [0.00619853605663055] * 7,
+        zeta=[0.027802940662613206, 0.0, 0.0, 0.0, 0.0, 0.0,
+              0.0036544906012286886, 0.17431243787498013, 0.0, 0.0, 0.0, 0.0,
+              0.0, 0.0, -0.09062144355230252, 0.2352695787586509, 0.0,
+              0.823950561859319, 2.338761719190686, 0.0, 0.0, 0.0, 0.0, 0.0,
+              0.0],
+        x=0.015590268610393363,
+        cdf=3.9948600611010171e-08),
+    # m = 41; stability_rhs 2.4e15, the Imhof form
+    "r0-model102": dict(
+        sigma=[0.5892701995042924, 0.37776197951841417, 0.28226890969049834,
+               0.1905941796692975, 0.15110658695766407, 0.11686195925325102,
+               0.09530092533457701, 0.09039764322502697, 0.08484165941226958,
+               0.08032912576779185, 0.07775584618200262, 0.0694991199569647,
+               0.06634951219057353, 0.05980590406162134, 0.03888690398531272,
+               0.030510290963889443, 0.02793326111670509, 0.02602801589049719,
+               0.02400696121578613, 0.021794530052102308, 0.01919979319195234,
+               0.01720389934651386, 0.016629021830943693, 0.009098331454332673,
+               0.0072680723071884435, 0.006572895069329552, 0.00635798691440693,
+               0.00545785368685539, 0.0036088480989567816, 0.002417193422112012,
+               0.0020902057164178286, 0.0019498584967884971,
+               0.0015977637097595594, 0.0014241740633016673,
+               0.0012132383820985212, 0.001096174761536004,
+               0.0010690023787564608, 0.0009048072311695139,
+               0.0008734085133468999, 0.0008296402884033833],
+        zeta=[-0.005154216157933973, 0.00089954692699129, 0.027070047511113526,
+              -0.03548434357248624, -0.015080997969380224, 0.02016991299800682,
+              -0.034105624483081326, 0.012225463874440918, 0.02942162082572513,
+              0.009965796057388548, -0.0032546380184303955,
+              -0.024366236525673487, -0.06705262367922457,
+              -0.06315314592818354, -0.04326900127671127, -0.1277352021923662,
+              -0.22003256587494607, -0.1005185834685497, -0.07467083960777189,
+              -0.14372877904035267, 0.017997682272564326, 0.2518706113489861,
+              0.1317772528672339, -0.013947254085834295, -0.1605609804998275,
+              0.5210169630524325, 1.0340654676512064, -0.1556310508989039,
+              0.19347046223929135, 0.6839736779544059, 0.9858446507745481,
+              -0.6433786630919495, 2.403453911976637, 1.467205786121689,
+              -0.3143639883037312, -0.6529629787111131, 1.1126684556271624,
+              -0.015172119765276968, -1.7445816876872235, -7.331698904780007],
+        x=2.6014477752973715,
+        cdf=0.98773566729260093),
+}

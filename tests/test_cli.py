@@ -82,6 +82,15 @@ class TestPowerCommand:
         want = 1.0 - noncentral_chi2_cdf(9, 4.0, 17.0)
         assert power == pytest.approx(want, abs=1e-6)
 
+    def test_summary_reports_interpolation(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "power", "--model", "uniform:10",
+                           "--pert", "alternating:0.2", "--grid-step", "0.005",
+                           "--out", str(tmp_path / "curve.csv"))
+        assert code == EXIT_OK
+        fields = dict(f.split("=") for f in out.split() if "=" in f)
+        assert int(fields["cdf_points"]) < 2 * 1000
+        assert 0.0 < float(fields["error_bound"]) <= 1e-8
+
     def test_zero_perturbation_diagonal(self, capsys, tmp_path):
         out_path = tmp_path / "diag.csv"
         code, _, _ = run(capsys, "power", "--model", "uniform:6",

@@ -4,22 +4,29 @@ Frozen values computed with tests/oracles.py.
 """
 
 import io
+import warnings
 
 import numpy as np
 import pytest
 
-from oracles import chi2_quantile, noncentral_chi2_cdf
+from oracles import SEEDED_CDF_REFERENCES, chi2_cdf, chi2_quantile, noncentral_chi2_cdf
 
-from gofpower.model import alternating_perturbation, uniform_model, zero_perturbation
+from gofpower.model import (
+    alternating_perturbation,
+    builtin_examples,
+    uniform_model,
+    zero_perturbation,
+)
 from gofpower.power import (
+    _cdf_on_grid,
     asymptotic_power,
     default_grid,
     power_at,
     power_curve,
     pvalue,
 )
-from gofpower.quadform import QuadratureConfig
-from gofpower.spectrum import compute_spectrum
+from gofpower.quadform import DEFAULT_CONFIG, QuadratureConfig, cdf_many
+from gofpower.spectrum import Spectrum, compute_spectrum
 
 CHI9_95 = 16.91897760462507  # oracle chi2_quantile(9, 0.95)
 
@@ -111,6 +118,82 @@ class TestPowerCurve:
         row = lines[1].split(",")
         assert len(row) == 5
         assert float(row[3]) == pytest.approx(1.0 - float(row[1]), abs=1e-16)
+
+
+@pytest.fixture(scope="module")
+def example_curves():
+    """Each example's interpolated curve on the default grid, with the
+    per-point CdfEvaluations of both families on the same grid."""
+    grid = default_grid()
+    out = {}
+    for name, model, pert in builtin_examples():
+        alt = compute_spectrum(model, pert)
+        out[name] = (power_curve(model, pert, grid),
+                     cdf_many(grid, alt.null()), cdf_many(grid, alt))
+    return out
+
+
+class TestInterpolatedCurve:
+    def test_within_bound_of_pointwise_cdf(self, example_curves):
+        for name, (curve, e0, ea) in example_curves.items():
+            assert curve.meta.cdf_points < curve.x.size
+            for got, evs in ((curve.f0, e0), (curve.fa, ea)):
+                want = np.array([e.value for e in evs])
+                est = np.array([e.abs_error_estimate for e in evs])
+                assert np.all(np.abs(got - want) <= curve.meta.error_bound + est), name
+
+    def test_curve_rules(self, example_curves):
+        # values in [0, 1], no drop over 1e-8, Fa <= F0 + 1e-8
+        for name, (curve, _, _) in example_curves.items():
+            for col in (curve.f0, curve.fa):
+                assert np.all((col >= 0.0) & (col <= 1.0)), name
+                assert np.diff(col).min() >= -1e-8, name
+            assert np.all(curve.fa <= curve.f0 + 1e-8), name
+
+    def test_single_mode_null_is_chi_square_in_sqrt_x(self):
+        # ell = 1: F(x) = P(chi2_1 <= 2x) ~ sqrt(x) near 0, smooth only in sqrt(x)
+        grid = default_grid(0.005)
+        curve = power_curve(uniform_model(2), zero_perturbation(2), grid)
+        assert curve.meta.cdf_points < grid.size
+        want = np.array([chi2_cdf(1, 2.0 * x) for x in grid])
+        assert np.abs(curve.f0 - want).max() <= 1e-8
+
+    def test_short_grid_falls_back_to_pointwise(self):
+        model, pert = uniform_model(10), alternating_perturbation(10, 0.2)
+        grid = np.linspace(0.05, 4.0, 20)
+        curve = power_curve(model, pert, grid)
+        alt = compute_spectrum(model, pert)
+        for got, spec in ((curve.f0, alt.null()), (curve.fa, alt)):
+            want = np.array([e.value for e in cdf_many(grid, spec)])
+            assert got.tobytes() == want.tobytes()
+        assert curve.meta.cdf_points == 2 * grid.size
+
+    def test_unpredictable_nodes_fall_back_to_pointwise(self):
+        # the CDF at one of the nodes, ref["x"], is off by 44x its estimate,
+        # and no interpolant of up to 257 nodes predicts its next nodes
+        ref = SEEDED_CDF_REFERENCES["r0-model85"]
+        spec = Spectrum.from_params(ref["sigma"], ref["zeta"])
+        grid = default_grid(0.005) * spec.null().mean()
+        values, evals, bound = _cdf_on_grid(grid, spec, DEFAULT_CONFIG)
+        per_point = cdf_many(grid, spec)
+        assert values.tobytes() == np.array([e.value for e in per_point]).tobytes()
+        assert len(evals) == 257 + grid.size
+        assert bound == max(e.abs_error_estimate for e in per_point)
+
+    @pytest.mark.parametrize("name", ["r0-model76", "r0-model102"])
+    def test_interpolant_recovers_seeded_reference(self, name):
+        # per-point cdf misses these references by 1.3e-7 and 1.6e-8 with
+        # tiny estimates; the interpolant through its nodes stays within
+        # its bound of the 30-digit value
+        ref = SEEDED_CDF_REFERENCES[name]
+        spec = Spectrum.from_params(ref["sigma"], ref["zeta"])
+        grid = default_grid(0.005) * spec.null().mean()
+        i = int(np.flatnonzero(grid == ref["x"])[0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            values, evals, bound = _cdf_on_grid(grid, spec, DEFAULT_CONFIG)
+        assert len(evals) < grid.size
+        assert abs(values[i] - ref["cdf"]) <= bound
 
 
 class TestPowerAt:

@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import chi2_cdf
+from oracles import SEEDED_CDF_REFERENCES, chi2_cdf
 
 from gofpower.model import alternating_perturbation, builtin_examples, uniform_model
 from gofpower.power import default_grid
@@ -404,3 +404,21 @@ class TestCdfMany:
     def test_nan_point_rejected(self, spec61):
         with pytest.raises(ValueError):
             cdf_many([1.0, math.nan], spec61)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the error estimate does not hold: r0-model76 (Imhof) is the real-axis "
+    "form's oscillatory tail cut short, the tail-bound item on ROADMAP.md; "
+    "r0-model85 (shifted contour, 189 nodes, no bisection) is a 10/21 "
+    "Kronrod-Gauss estimate that came out small by chance; r0-model102 "
+    "(Imhof) stops after 1,050 nodes where x +- 1e-3 take 7,203, the same "
+    "tail march ending early"))
+def test_error_estimate_holds_on_seeded_spectra():
+    # cdf flags every value converged, yet each misses a 30-digit reference
+    # (1.3e-7, 1.6e-8 and 1.6e-8 when written) by more than its estimate
+    misses = {}
+    for name, ref in SEEDED_CDF_REFERENCES.items():
+        ev = cdf(ref["x"], Spectrum.from_params(ref["sigma"], ref["zeta"]))
+        assert ev.converged
+        misses[name] = abs(ev.value - ref["cdf"]) / ev.abs_error_estimate
+    assert all(ratio <= 1.0 for ratio in misses.values()), misses
