@@ -44,10 +44,7 @@ from .quadform import (
     adaptive_integrate,
     cdf,
     cdf_many,
-    integrand_imhof,
-    integrand_shifted,
     stability_bound,
-    stability_rhs,
 )
 from .power import (
     CurveMeta,

@@ -10,11 +10,11 @@ representations:
   bounded by 1 and decays sub-Gaussian fast exactly when that bound is
   large.
 
-Semi-infinite integrals are evaluated by an adaptive scheme built on the
-embedded 10-point Gauss / 21-point Kronrod pair: the initial window is
-split into panels, the worst panel is bisected until the summed error
-estimate meets tolerance, and the upper limit doubles until the last
-window's contribution is negligible.
+Each integral bisects panels of the embedded 10-point Gauss / 21-point
+Kronrod pair on a window fixed before the first panel: the shifted
+contour's a-priori bound puts it past a negligible tail, and the
+real-axis form's tail is summed over half-periods by Wynn's epsilon
+algorithm.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "Method", "QuadratureConfig", "CdfEvaluation", "IntegralResult",
-    "NumericalFailureError", "adaptive_integrate", "integrand_shifted",
-    "integrand_imhof", "stability_bound", "stability_rhs", "cdf", "cdf_many",
+    "NumericalFailureError", "adaptive_integrate", "stability_bound", "cdf",
+    "cdf_many",
 ]
 
 # exponent cap: exp(x) overflows just above x = 709
@@ -45,6 +45,9 @@ _EXP_OVERFLOW = 700.0
 # elements per integrand call.  Larger batches save no time, only memory.
 _IN_FLIGHT = 128
 _MAX_ELEMENTS = 8192
+# real-axis tail: half-periods per round, and in all
+_TAIL_ROUND = 8
+_TAIL_PANELS = 64
 
 
 class NumericalFailureError(ArithmeticError):
@@ -166,11 +169,6 @@ def stability_bound(zeta, ell: int | None = None) -> float:
     return math.exp(exponent)
 
 
-def stability_rhs(spec: "Spectrum") -> float:
-    """The numerator bound governing method selection for a spectrum."""
-    return stability_bound(spec.zeta, spec.ell)
-
-
 def _shifted_values(y, x, s2, cnt, z2, ell):
     """Shifted-contour integrand at the nodes y, one row per CDF argument x.
 
@@ -231,36 +229,6 @@ def _imhof_values(y, x, s2, cnt, z2, ell):
     return (np.exp(expo_re) * np.sin(expo_im) / (math.pi * y)).reshape(shape)
 
 
-def _as_batch(y):
-    arr = np.asarray(y, dtype=float)
-    return np.atleast_1d(arr), arr.ndim == 0
-
-
-def integrand_shifted(y, x: float, spec: "Spectrum"):
-    """Shifted-contour integrand at y > 0 for the CDF argument x > 0.
-
-    The product of square roots in the denominator is accumulated factor
-    by factor on the principal branch (as a summed principal log), never
-    as a single root of the full product.
-    """
-    s2, cnt, z2, ell = spec.groups
-    yv, scalar = _as_batch(y)
-    out = _shifted_values(yv[None, :], np.array([float(x)]), s2, cnt, z2, ell)[0]
-    return float(out[0]) if scalar else out
-
-
-def integrand_imhof(y, x: float, spec: "Spectrum"):
-    """Real-axis inversion integrand at y > 0 for the CDF argument x > 0.
-
-    The y -> 0 singularity is removable; open quadrature rules never
-    evaluate y = 0.
-    """
-    s2, cnt, z2, ell = spec.groups
-    yv, scalar = _as_batch(y)
-    out = _imhof_values(yv[None, :], np.array([float(x)]), s2, cnt, z2, ell)[0]
-    return float(out[0]) if scalar else out
-
-
 def _eval_panels(f, edges, *args):
     """Evaluate the embedded pair on panels (rows of ``edges``) in one call
     f(nodes, *args), nodes holding each panel's 21 abscissae in a row."""
@@ -277,105 +245,106 @@ def _eval_panels(f, edges, *args):
 
 
 @functools.lru_cache(maxsize=64)
-def _panels(lo: float, hi: float, n: int) -> tuple:
-    """n equal panels (a, b) over [lo, hi], with the edges np.linspace gives.
-
-    Every integral of a CDF grid starts on the same window and extends
-    through the same ones, so each is built once.
-    """
-    edges = np.linspace(lo, hi, n + 1).tolist()
+def _panels(upper: float, n: int) -> tuple:
+    """n equal panels (a, b) over [0, upper]; a CDF grid shares a few."""
+    edges = np.linspace(0.0, upper, n + 1).tolist()
     return tuple(zip(edges[:-1], edges[1:]))
 
 
-def _integral(cfg: QuadratureConfig, initial_upper: float, initial_panels: int):
+def _epsilon_step(diag: list, partial: float) -> list:
+    """Wynn's epsilon algorithm (Wynn 1956, MTAC 10:91): the next ascending
+    diagonal of the table once ``partial`` joins the sequence whose last
+    diagonal is ``diag``.  Its last even-numbered entry is the current
+    extrapolation; a difference lost in rounding ends the diagonal there.
+    """
+    new = [partial]
+    for k, old in enumerate(diag):
+        diff = new[k] - old
+        if abs(diff) <= 4e-16 * max(abs(new[k]), abs(old)):
+            break
+        new.append((diag[k - 1] if k else 0.0) + 1.0 / diff)
+    return new
+
+
+def _integral(cfg: QuadratureConfig, upper: float, panels: int,
+              half_period: float = 0.0):
     """The adaptive scheme of ``adaptive_integrate`` for one integral.
 
     A generator: each ``yield`` hands out a sequence of panels (a, b) and
     receives their Kronrod values and error estimates as two arrays; it
     returns the IntegralResult.  It decides what to evaluate from those
     numbers alone, not from what else is evaluated alongside them.
+
+    With a ``half_period``, the integral runs on past ``upper`` in panels
+    that wide, _TAIL_ROUND at a time, whose partial sums are extrapolated
+    by Wynn's epsilon algorithm (QUADPACK's dqawf) until the last three
+    extrapolations agree to a tenth of the tolerance, or _TAIL_PANELS
+    have been spent.
     """
     abs_tol, rel_tol = cfg.abs_tol, cfg.rel_tol
     heap: list = []
     order = itertools.count()
+    extrap: list = []   # the epsilon extrapolation after each tail panel
 
-    def commit(pairs, vals, errs):
-        for (a, b), v, e in zip(pairs, vals.tolist(), errs.tolist()):
-            heapq.heappush(heap, (-e, next(order), a, b, v, e))
+    def tail_round():
+        k = len(extrap)
+        edges = (upper + half_period * np.arange(k, k + _TAIL_ROUND + 1)).tolist()
+        return list(zip(edges[:-1], edges[1:]))
 
-    pairs = _panels(0.0, initial_upper, initial_panels)
+    head = _panels(upper, panels)
+    pairs = [*head, *tail_round()] if half_period else head
     vals, errs = yield pairs
     nodes = PANEL_SIZE * len(pairs)
-    commit(pairs, vals, errs)
-    total = math.fsum(vals.tolist())
-    err_sum = math.fsum(errs.tolist())
-
-    # extension windows are pre-split so wide oscillatory tails do not have
-    # to be rediscovered by bisection; one window costs one budget unit
-    ext_cap = max(initial_upper / initial_panels, 2.0 * math.pi)
-    budget = cfg.max_subdivisions
-    upper = initial_upper
-    tail_done = False
-    oscillation_cut = False
-    truncation_err = 0.0
-    last_window_scale = 0.0
-    while True:
-        # refine the worst panel until the summed error meets tolerance
-        while err_sum > max(abs_tol, rel_tol * abs(total)) and budget > 0:
-            _, _, a, b, v, e = heapq.heappop(heap)
-            total -= v
-            err_sum -= e
-            mid = 0.5 * (a + b)
-            vals, errs = yield [(a, mid), (mid, b)]
-            nodes += 2 * PANEL_SIZE
-            (v0, v1), (e0, e1) = vals.tolist(), errs.tolist()
-            heapq.heappush(heap, (-e0, next(order), a, mid, v0, e0))
-            heapq.heappush(heap, (-e1, next(order), mid, b, v1, e1))
-            total += v0 + v1
-            err_sum += e0 + e1
-            budget -= 1
-        if err_sum > max(abs_tol, rel_tol * abs(total)) or budget <= 0:
+    for (a, b), v, e in zip(head, vals.tolist(), errs.tolist()):
+        heapq.heappush(heap, (-e, next(order), a, b, v, e))
+    n, diag = len(head), []
+    partial = tail = tail_err = 0.0
+    tail_ok = True
+    while half_period:
+        tail_err += math.fsum(errs[n:].tolist())
+        for v in vals[n:].tolist():
+            partial += v
+            diag = _epsilon_step(diag, partial)
+            extrap.append(diag[(len(diag) - 1) & ~1])
+        tail = extrap[-1]
+        spread = abs(tail - extrap[-2]) + abs(tail - extrap[-3])
+        total = math.fsum(item[4] for item in heap) + tail
+        tail_ok = spread <= 0.1 * max(abs_tol, rel_tol * abs(total))
+        if tail_ok or len(extrap) >= _TAIL_PANELS:
+            tail_err += spread
             break
-        # candidate extension window, evaluated before being committed;
-        # wide windows carry proportionally more panels and budget weight
-        n_ext = min(256, max(1, math.ceil(upper / ext_cap)))
-        pairs = _panels(upper, 2.0 * upper, n_ext)
+        pairs, n = tail_round(), 0
         vals, errs = yield pairs
-        nodes += PANEL_SIZE * n_ext
-        window_value = float(vals.sum())
-        window_err = float(errs.sum())
-        budget -= max(1, n_ext // 16)
-        negligible = abs(window_value) + window_err < 0.1 * abs_tol
-        if not negligible and window_err > 0.5 * abs(window_value):
-            # the rule no longer resolves the oscillation at this width:
-            # committing the window would add noise, so truncate here and
-            # charge the window's magnitude as unresolved tail error
-            truncation_err = abs(window_value) + window_err
-            oscillation_cut = True
-            break
-        commit(pairs, vals, errs)
-        total += window_value
-        err_sum += window_err
-        last_window_scale = abs(window_value) + window_err
-        if negligible:
-            tail_done = True
-            break
-        upper *= 2.0
+        nodes += PANEL_SIZE * len(pairs)
 
-    if not tail_done and truncation_err == 0.0:
-        # ran out of budget mid-march: the last window sets the scale of
-        # whatever tail was never reached
-        truncation_err = 2.0 * last_window_scale
-    total = math.fsum(item[4] for item in heap)
-    err_sum = math.fsum(item[5] for item in heap) + truncation_err
-    converged = tail_done and err_sum <= max(abs_tol, rel_tol * abs(total))
+    # refine the worst head panel until the summed error meets tolerance
+    total = math.fsum(item[4] for item in heap) + tail
+    err_sum = math.fsum(item[5] for item in heap) + tail_err
+    budget = cfg.max_subdivisions
+    while err_sum > max(abs_tol, rel_tol * abs(total)) and budget > 0:
+        _, _, a, b, v, e = heapq.heappop(heap)
+        total -= v
+        err_sum -= e
+        mid = 0.5 * (a + b)
+        vals, errs = yield [(a, mid), (mid, b)]
+        nodes += 2 * PANEL_SIZE
+        (v0, v1), (e0, e1) = vals.tolist(), errs.tolist()
+        heapq.heappush(heap, (-e0, next(order), a, mid, v0, e0))
+        heapq.heappush(heap, (-e1, next(order), mid, b, v1, e1))
+        total += v0 + v1
+        err_sum += e0 + e1
+        budget -= 1
+
+    total = math.fsum(item[4] for item in heap) + tail
+    err_sum = math.fsum(item[5] for item in heap) + tail_err
+    converged = tail_ok and err_sum <= max(abs_tol, rel_tol * abs(total))
     if not converged:
-        cause = ("truncated an unresolved oscillatory tail" if oscillation_cut
-                 else "budget exhausted")
+        cause = "budget exhausted" if tail_ok else "oscillatory tail unresolved"
         # levels: this generator, _drive, its caller, that caller's caller
         warnings.warn(
             f"adaptive quadrature {cause} (error estimate {err_sum:.3e}, "
-            f"upper limit {upper:g})", RuntimeWarning, stacklevel=4)
+            f"upper limit {upper + half_period * len(extrap):g})",
+            RuntimeWarning, stacklevel=4)
     return IntegralResult(total, err_sum, nodes, converged)
 
 
@@ -413,33 +382,48 @@ def _drive(integrals, evaluate: Callable) -> list:
 
 
 def adaptive_integrate(f: Callable, cfg: QuadratureConfig | None = None, *,
-                       initial_upper: float = 16.0,
-                       initial_panels: int = 4) -> IntegralResult:
-    """Integrate f over (0, inf) with the adaptive Gauss-Kronrod scheme.
+                       upper: float, initial_panels: int = 4) -> IntegralResult:
+    """Integrate f over (0, upper] with the adaptive Gauss-Kronrod scheme.
 
-    ``f`` must accept a numpy array of abscissae and return the matching
-    array of values.  The window (0, initial_upper] starts as
-    ``initial_panels`` equal panels; each panel's 21-point value is kept
-    and the 10/21 difference is its error estimate.  Bisection of the
-    worst panel and geometric extension of the upper limit (Y -> 2Y,
-    until a window contributes less than 0.1 * abs_tol) both draw on the
-    shared subdivision budget.  On budget exhaustion or an unresolvable
-    oscillatory tail the best-effort value is returned with ``converged``
-    False, a RuntimeWarning, and an error estimate that includes the
-    unresolved-tail allowance.
+    ``f`` maps an array of abscissae to the array of values.  The window
+    starts as ``initial_panels`` equal panels, and the worst is bisected
+    until the summed 10/21 error estimate meets tolerance; if
+    ``max_subdivisions`` bisections do not suffice, the best-effort value
+    comes with ``converged`` False and a RuntimeWarning.
     """
     cfg = cfg or DEFAULT_CONFIG
 
     def values(ys):
         return np.asarray(f(ys.ravel()), dtype=float).reshape(ys.shape)
 
-    return _drive([_integral(cfg, initial_upper, initial_panels)],
+    return _drive([_integral(cfg, upper, initial_panels)],
                   lambda edges, _: _eval_panels(values, edges))[0]
 
 
-def _initial_panels(y0: float, ell: int) -> int:
-    # aim for a few oscillation periods (wavelength ~ 2 pi / sqrt(ell)) per panel
-    return max(4, math.ceil(y0 * math.sqrt(ell) / (4.0 * math.pi)))
+def _imhof_windows(xs, s2, cnt, z2, ell: int):
+    """Head limit Y and tail half-period for each x of the Imhof integral.
+
+    The phase slope tends to -1 only once every group has t >> 1, which a
+    tiny sigma^2 puts far out; so Y is the first doubling of 10 + sqrt(ell)
+    past which the exact slope moves by under 5% over one more doubling
+    (at most 10 doublings), and the half-period is pi / |slope(Y)|.
+    """
+    def slope(y):
+        a = s2 / xs[:, None]
+        t = 2.0 * y[:, None] * a
+        q = 1.0 / (1.0 + t * t)
+        return (a * q * (cnt + z2 * (1.0 - t * t) * q)).sum(axis=1) - 1.0
+
+    y = np.full(xs.size, 10.0 + math.sqrt(ell))
+    now = slope(y)
+    for _ in range(10):
+        ahead = slope(2.0 * y)
+        moving = np.abs(ahead - now) >= 0.05 * np.abs(now)
+        if not moving.any():
+            break
+        y = np.where(moving, 2.0 * y, y)
+        now = np.where(moving, ahead, now)
+    return y.tolist(), (math.pi / np.abs(now)).tolist()
 
 
 def cdf_many(xs, spec: "Spectrum", cfg: QuadratureConfig | None = None,
@@ -469,9 +453,21 @@ def cdf_many(xs, spec: "Spectrum", cfg: QuadratureConfig | None = None,
     shifted = method is Method.SHIFTED_CONTOUR
     kernel = _shifted_values if shifted else _imhof_values
     s2, cnt, z2, ell = spec.groups
-    y0 = 10.0 + math.sqrt(ell)
-    n0 = _initial_panels(y0, ell)
     positive = np.array([x for x in xs if x > 0.0])
+    if shifted:
+        # the asserted bounds of _shifted_values give |f(y)| <= rhs e^{5/4-y}
+        # / (pi (y - 1/2)), so past this Y the tail is below 0.1 abs_tol;
+        # log(rhs) comes from its exponent, finite where rhs overflows
+        log_rhs = 0.5 * math.sqrt(1.0 + 1.0 / ell) * float(z2.sum())
+        upper = max(1.5, 1.25 + log_rhs - math.log(0.1 * math.pi * cfg.abs_tol))
+        # a few oscillation periods (wavelength ~ 2 pi / sqrt(ell)) per panel
+        n0 = max(4, math.ceil(upper * math.sqrt(ell) / (4.0 * math.pi)))
+        integrals = (_integral(cfg, upper, n0) for _ in positive)
+    else:
+        heads, halves = _imhof_windows(positive, s2, cnt, z2, ell)
+        # one head panel per 2 pi: the phase runs at about unit speed
+        integrals = (_integral(cfg, y, math.ceil(y / (2.0 * math.pi)), h)
+                     for y, h in zip(heads, halves))
     step = max(1, _MAX_ELEMENTS // (PANEL_SIZE * s2.size))
 
     def evaluate(edges, owners):
@@ -480,7 +476,7 @@ def cdf_many(xs, spec: "Spectrum", cfg: QuadratureConfig | None = None,
                  for k in range(0, len(edges), step)]
         return tuple(np.concatenate(p) for p in zip(*parts))
 
-    results = iter(_drive((_integral(cfg, y0, n0) for _ in positive), evaluate))
+    results = iter(_drive(integrals, evaluate))
     out = []
     for x in xs:
         if x <= 0.0:

@@ -19,7 +19,6 @@ consecutive distinct r_g, with eigenvectors proportional to 1/(r - lambda)
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,7 +89,7 @@ class Spectrum:
     ell: int
     sigma: np.ndarray
     zeta: np.ndarray
-    stability_rhs: float = field(default=math.nan)
+    stability_rhs: float = field(init=False)
     groups: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -104,8 +103,7 @@ class Spectrum:
             raise ValueError("all zeta must be finite")
         if np.any(np.diff(sigma) > 0):
             raise ValueError("sigma must be stored in descending order")
-        if math.isnan(self.stability_rhs):
-            object.__setattr__(self, "stability_rhs", stability_bound(zeta, self.ell))
+        object.__setattr__(self, "stability_rhs", stability_bound(zeta, self.ell))
         for arr in (sigma, zeta):
             arr.flags.writeable = False
         object.__setattr__(self, "sigma", sigma)

@@ -179,10 +179,13 @@ def fresh_stream_statistics(seed: int, n: int, p_a, p0, trials: int):
     return out
 
 
-# Spectra of three seeded (p0, a) models, with sigma and zeta written out
-# repr-exact, a CDF argument x each, and F(x) from a 30-digit mpmath Imhof
-# integral: mpmath.quad over (0, Y] plus mpmath.quadosc with omega = x/2
-# beyond.  Y = 100 and 200 (and 400 for the first two) agree to 20 digits.
+# Spectra of seeded (p0, a) models from the benchmark's model-sweep (seed 1,
+# round 0), with sigma and zeta written out repr-exact, a CDF argument x
+# each, and F(x) from a 30-digit mpmath Imhof integral: mpmath.quad over
+# (0, Y] plus mpmath.quadosc with omega = x/2 beyond.  Y = 100 and 200 (and
+# 400 for the first two) agree to 20 digits; for r0-model94, Y = 60 and 120
+# (in the variable u = 2y/x) agree to 25.  Each was once returned flagged
+# converged, yet off by 1e-9 to 1.3e-7.
 SEEDED_CDF_REFERENCES = {
     # m = 6; its stability_rhs of 3.8e34 routes it to the Imhof form
     "r0-model76": dict(
@@ -192,19 +195,6 @@ SEEDED_CDF_REFERENCES = {
               -0.5920287463476901, -12.042866629702557],
         x=0.2739093267584571,
         cdf=0.49187419348302585),
-    # m = 26; stability_rhs 24.1, the shifted contour
-    "r0-model85": dict(
-        sigma=[0.37025745482629996] * 6 + [0.10065437969881758]
-        + [0.06982198317498843] * 7 + [0.02057055453045713]
-        + [0.01877649726815589] * 2 + [0.007409820706381774]
-        + [0.00619853605663055] * 7,
-        zeta=[0.027802940662613206, 0.0, 0.0, 0.0, 0.0, 0.0,
-              0.0036544906012286886, 0.17431243787498013, 0.0, 0.0, 0.0, 0.0,
-              0.0, 0.0, -0.09062144355230252, 0.2352695787586509, 0.0,
-              0.823950561859319, 2.338761719190686, 0.0, 0.0, 0.0, 0.0, 0.0,
-              0.0],
-        x=0.015590268610393363,
-        cdf=3.9948600611010171e-08),
     # m = 41; stability_rhs 2.4e15, the Imhof form
     "r0-model102": dict(
         sigma=[0.5892701995042924, 0.37776197951841417, 0.28226890969049834,
@@ -238,4 +228,77 @@ SEEDED_CDF_REFERENCES = {
               -0.015172119765276968, -1.7445816876872235, -7.331698904780007],
         x=2.6014477752973715,
         cdf=0.98773566729260093),
+    # m = 16; stability_rhs 1.2e18, the Imhof form
+    "r0-model94": dict(
+        sigma=[0.4714040041596714, 0.4714040041596714, 0.4714040041596714,
+               0.2087045361361678, 0.1515056138123117, 0.1515056138123117,
+               0.1515056138123117, 0.09536014918492916, 0.08726627921873108,
+               0.03458277683573337, 0.0285124147413195, 0.0285124147413195,
+               0.0285124147413195, 0.0285124147413195, 0.0013304043000358719],
+        zeta=[0.03863826770028497, 0.0, 0.0, -0.02672760313301226,
+              0.18837770623183073, 0.0, 0.0, -0.10644765984998997,
+              0.0242263459678014, -0.16976785778019837, 0.4192017226075686,
+              0.0, 0.0, 0.0, -8.968221831479896],
+        x=2.004619480630544,
+        cdf=0.96111928956429362032),
 }
+
+# r0-model85 (seed 1, round 0): m = 26, stability_rhs 24.1, the shifted
+# contour.  At this x its 10/21 Kronrod-Gauss head estimate comes out small
+# by chance.  F(x) is a 30-digit mpmath Imhof integral as above, with Y =
+# 1e4 and 2e4 (in u = 2y/x) agreeing to 24 digits.
+HEAD_ESTIMATE_MISS = dict(
+    sigma=[0.37025745482629996] * 6 + [0.10065437969881758]
+    + [0.06982198317498843] * 7 + [0.02057055453045713]
+    + [0.01877649726815589] * 2 + [0.007409820706381774]
+    + [0.00619853605663055] * 7,
+    zeta=[0.027802940662613206, 0.0, 0.0, 0.0, 0.0, 0.0,
+          0.0036544906012286886, 0.17431243787498013, 0.0, 0.0, 0.0, 0.0,
+          0.0, 0.0, -0.09062144355230252, 0.2352695787586509, 0.0,
+          0.823950561859319, 2.338761719190686, 0.0, 0.0, 0.0, 0.0, 0.0,
+          0.0],
+    x=0.01235291864413407,
+    cdf=7.5757218728838282563e-09)
+
+# Benchmark models (model-sweep, the seed and round in the key's comment)
+# on which a truncated real-axis tail once made asymptotic_power return a
+# power below alpha at alpha = 0.01, with sigma and zeta repr-exact.
+# POWER_AT_1PCT is the power of r0-model25 at alpha = 0.01 in 30-digit
+# mpmath: the critical value x* = 3.3170203932538763648 solves F0(x*) = 0.99
+# by mpmath.findroot on the null's Imhof integral as above, and Y = 60 and
+# 120 (in y) give the same 1 - Fa(x*) to 25 digits.
+SEEDED_POWER_MODELS = {
+    # seed 2202, round 0: m = 14
+    "r0-model25": dict(
+        sigma=[0.7070235338812128, 0.01276282677269034, 0.00678063379839833,
+               0.00678063379839833, 0.00678063379839833, 0.00678063379839833,
+               0.0013571958872178832, 0.001040381863871287,
+               0.001040381863871287, 0.001040381863871287,
+               0.001040381863871287, 0.0002932100954102836,
+               0.00027214939810604256],
+        zeta=[0.001696703311735295, -0.02144612753480629, 0.21458646707908405,
+              0.0, 0.0, 0.0, 1.7635994843110803, 3.6307419090711757, 0.0, 0.0,
+              0.0, 2.6879086762395006, 8.26779249232667],
+    ),
+    # seed 3201, round 1: m = 16
+    "r1-model27": dict(
+        sigma=[0.7071048729423486, 0.0017740199410553278, 0.000694461732980397,
+               0.000694461732980397, 0.000694461732980397,
+               0.000694461732980397, 0.0006749166352141517,
+               0.0006506297696529689, 0.0006506297696529689,
+               0.0006506297696529689, 0.0006506297696529689,
+               0.0006506297696529689, 0.0006506297696529689,
+               0.0001137223842313483, 0.0001065438814620432],
+        zeta=[0.0013572013806167607, -0.2807234312591604, 2.7608619850268816,
+              0.0, 0.0, 0.0, -0.0070174015078845325, 3.5731310451191103, 0.0,
+              0.0, 0.0, 0.0, 0.0, -1.6603438986018138, 8.90825979285606],
+    ),
+    # seed 17, round 0: m = 5
+    "r0-model89": dict(
+        sigma=[0.7071067144492877, 0.000492301340955141,
+               0.00015892298900581855, 0.0001245994794474797],
+        zeta=[0.0011585787704002826, 0.2751857497388966, 1.6590557221185787,
+              10.953427319966854],
+    ),
+}
+POWER_AT_1PCT = {"r0-model25": 0.010000420251350803155716}

@@ -9,7 +9,14 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import SEEDED_CDF_REFERENCES, chi2_cdf, chi2_quantile, noncentral_chi2_cdf
+from oracles import (
+    POWER_AT_1PCT,
+    SEEDED_CDF_REFERENCES,
+    SEEDED_POWER_MODELS,
+    chi2_cdf,
+    chi2_quantile,
+    noncentral_chi2_cdf,
+)
 
 from gofpower.model import (
     alternating_perturbation,
@@ -169,15 +176,16 @@ class TestInterpolatedCurve:
         assert curve.meta.cdf_points == 2 * grid.size
 
     def test_unpredictable_nodes_fall_back_to_pointwise(self):
-        # the CDF at one of the nodes, ref["x"], is off by 44x its estimate,
-        # and no interpolant of up to 257 nodes predicts its next nodes
-        ref = SEEDED_CDF_REFERENCES["r0-model85"]
-        spec = Spectrum.from_params(ref["sigma"], ref["zeta"])
-        grid = default_grid(0.005) * spec.null().mean()
+        # on 300 points, no interpolant of up to 129 nodes predicts example
+        # 2's next nodes, and a larger one would hold half as many points as
+        # the grid
+        _, model, pert = builtin_examples()[1]
+        spec = compute_spectrum(model, pert)
+        grid = default_grid(5.0 / 300.0)
         values, evals, bound = _cdf_on_grid(grid, spec, DEFAULT_CONFIG)
         per_point = cdf_many(grid, spec)
         assert values.tobytes() == np.array([e.value for e in per_point]).tobytes()
-        assert len(evals) == 257 + grid.size
+        assert len(evals) == 129 + grid.size
         assert bound == max(e.abs_error_estimate for e in per_point)
 
     @pytest.mark.parametrize("name", ["r0-model76", "r0-model102"])
@@ -224,6 +232,23 @@ class TestPowerAt:
         loose = QuadratureConfig(abs_tol=1e-6, rel_tol=1e-6)
         got = asymptotic_power(0.05, null10, alt61, loose)
         assert got == pytest.approx(0.22536101968546052, abs=1e-4)
+
+
+@pytest.mark.parametrize("name", sorted(SEEDED_POWER_MODELS))
+def test_seeded_benchmark_power_not_below_alpha(name):
+    # tiny sigma^2 carrying most of the shift gave a slow real-axis tail that
+    # the doubling-window march cut short, pushing the power at 1% below
+    # alpha; the extrapolated tail converges without a warning
+    ref = SEEDED_POWER_MODELS[name]
+    alt = Spectrum.from_params(ref["sigma"], ref["zeta"])
+    alphas = (0.01, 0.05, 0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        powers = [asymptotic_power(alpha, alt.null(), alt) for alpha in alphas]
+    assert all(p >= alpha - 1e-7 for alpha, p in zip(alphas, powers)), powers
+    assert powers == sorted(powers)
+    if name in POWER_AT_1PCT:
+        assert abs(powers[0] - POWER_AT_1PCT[name]) <= 1e-7
 
 
 class TestDominance:
