@@ -4,8 +4,9 @@ With F0 the null CDF (zero perturbation) and Fa the alternative CDF, the
 power function is traced by the points (1 - F0(x), 1 - Fa(x)) as x runs
 over a grid.  Each CDF on the grid is read off a Chebyshev interpolant in
 u = sqrt(x) whose degree doubles until it predicts its own new nodes, with
-an error bound; no per-alpha root finding is involved except in the point
-query ``power_at``.
+an error bound.  Only the point queries ``asymptotic_power`` and
+``power_at`` solve for a critical value: by Brent's method on F0, started
+from a two-cumulant scaled chi-square quantile.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ __all__ = [
 ]
 
 CSV_HEADER = "x,F0,Fa,alpha,power"
-ROOT_TOL = 1e-8  # |F0(x*) - (1 - alpha)| target for power_at
+ROOT_TOL = 1e-12  # |F0(x*) - (1 - alpha)| target for asymptotic_power
 START_DEGREE = 16  # first Chebyshev interpolant of a curve's CDF
 
 
@@ -196,36 +197,80 @@ def power_curve(model: ProbabilityModel, pert: Perturbation,
     return PowerCurve(x=xs, f0=f0, fa=fa, meta=meta)
 
 
+def _critical_start(alpha: float, spec: Spectrum) -> float:
+    """Quantile at 1 - alpha of g chi2_h, matched to the law's first two
+    cumulants: Wilson-Hilferty's h (1 - c + z sqrt(c))^3, c = 2 / (9 h), with
+    the normal quantile z of Abramowitz & Stegun 26.2.23 (error < 4.5e-4)."""
+    s2, cnt, z2, _ = spec.groups
+    k1 = float(s2 @ (cnt + z2))
+    k2 = 2.0 * float((s2 * s2) @ (cnt + 2.0 * z2))
+    t = math.sqrt(-2.0 * math.log(min(alpha, 1.0 - alpha)))
+    z = t - ((0.010328 * t + 0.802853) * t + 2.515517) / (
+        ((0.001308 * t + 0.189269) * t + 1.432788) * t + 1.0)
+    c = k2 / (9.0 * k1 * k1)   # 2 / (9 h) with h = 2 k1^2 / k2
+    base = 1.0 - c + math.copysign(z, 0.5 - alpha) * math.sqrt(c)
+    return k1 * max(base, 0.1) ** 3   # g h = k1
+
+
 def asymptotic_power(alpha: float, null_spec: Spectrum, alt_spec: Spectrum,
                      cfg: QuadratureConfig | None = None) -> float:
     """Power at significance level alpha: 1 - Fa(x*) where 1 - F0(x*) = alpha.
 
-    x* is found by bisection on F0; the bracket grows from the law's mean
-    until F0 exceeds the target.
+    From the null's two-cumulant scaled chi-square quantile, x steps
+    geometrically (by 1.1, the step squared each time) until F0(x) - (1 -
+    alpha) changes sign; Brent's method (Brent 1973, ch. 4) then closes the
+    bracket until |F0(x) - (1 - alpha)| <= ROOT_TOL or it is a few ulp
+    wide.  About 7 ``cdf`` calls per alpha, the alternative's included.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
     cfg = cfg or DEFAULT_CONFIG
     target = 1.0 - alpha
-    hi = max(null_spec.mean(), 1e-8)
+
+    def f(x):
+        return cdf(x, null_spec, cfg).value - target
+
+    xpre = xcur = _critical_start(alpha, null_spec)
+    fpre = fcur = f(xcur)
+    step = 1.1
+    # the squared step overflows within some 14 steps: downwards x reaches
+    # 0, where F0 = 0, so only a F0 that never reaches 1 - alpha runs out
+    while fpre * fcur > 0.0:
+        xpre, fpre = xcur, fcur
+        xcur = xcur * step if fcur < 0.0 else xcur / step
+        step *= step
+        if math.isinf(xcur):
+            raise RuntimeError("failed to bracket the critical value")
+        fcur = f(xcur)
+    # Brent's method after scipy's brentq: xcur is the best point so far,
+    # xblk the end of the bracket opposite it, xpre the point before xcur
+    xblk = fblk = spre = scur = 0.0
     for _ in range(200):
-        if cdf(hi, null_spec, cfg).value > target:
-            break
-        hi *= 2.0
-    else:  # pragma: no cover - unreachable for valid spectra
-        raise RuntimeError("failed to bracket the critical value")
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        f0 = cdf(mid, null_spec, cfg).value
-        if abs(f0 - target) < ROOT_TOL:
-            return min(1.0, max(0.0, 1.0 - cdf(mid, alt_spec, cfg).value))
-        if f0 < target:
-            lo = mid
-        else:
-            hi = mid
+        if fpre * fcur < 0.0:
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = 2.0 * math.ulp(xcur)
+        sbis = 0.5 * (xblk - xcur)
+        if abs(fcur) <= ROOT_TOL or abs(sbis) < delta:
+            return min(1.0, max(0.0, 1.0 - cdf(xcur, alt_spec, cfg).value))
+        short = False   # else bisect
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:   # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:              # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            short = 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta)
+        spre, scur = (scur, stry) if short else (sbis, sbis)
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else math.copysign(delta, sbis)
+        fcur = f(xcur)
     raise RuntimeError(  # pragma: no cover - would need a discontinuous F0
-        "bisection failed to localize the critical value")
+        "Brent's method failed to localize the critical value")
 
 
 def power_at(alpha: float, model: ProbabilityModel, pert: Perturbation,

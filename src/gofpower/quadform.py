@@ -24,6 +24,7 @@ import functools
 import heapq
 import itertools
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
@@ -340,11 +341,14 @@ def _integral(cfg: QuadratureConfig, upper: float, panels: int,
     converged = tail_ok and err_sum <= max(abs_tol, rel_tol * abs(total))
     if not converged:
         cause = "budget exhausted" if tail_ok else "oscillatory tail unresolved"
-        # levels: this generator, _drive, its caller, that caller's caller
+        # attributed to the first frame outside this package
+        frame, level = sys._getframe(), 1
+        while frame is not None and frame.f_globals.get("__package__") == __package__:
+            frame, level = frame.f_back, level + 1
         warnings.warn(
             f"adaptive quadrature {cause} (error estimate {err_sum:.3e}, "
             f"upper limit {upper + half_period * len(extrap):g})",
-            RuntimeWarning, stacklevel=4)
+            RuntimeWarning, stacklevel=level)
     return IntegralResult(total, err_sum, nodes, converged)
 
 

@@ -261,12 +261,15 @@ HEAD_ESTIMATE_MISS = dict(
     cdf=7.5757218728838282563e-09)
 
 # Benchmark models (model-sweep, the seed and round in the key's comment)
-# on which a truncated real-axis tail once made asymptotic_power return a
-# power below alpha at alpha = 0.01, with sigma and zeta repr-exact.
-# POWER_AT_1PCT is the power of r0-model25 at alpha = 0.01 in 30-digit
-# mpmath: the critical value x* = 3.3170203932538763648 solves F0(x*) = 0.99
-# by mpmath.findroot on the null's Imhof integral as above, and Y = 60 and
-# 120 (in y) give the same 1 - Fa(x*) to 25 digits.
+# with sigma and zeta repr-exact.  On the first three a truncated real-axis
+# tail once made asymptotic_power return a power below alpha at alpha =
+# 0.01; on seed4201-r0-model25 the bisection's stop rule |F0 - 0.99| < 1e-8
+# left the power 2.6e-7 from the power at the root.
+# POWER_AT_1PCT holds powers at alpha = 0.01 in 30-digit mpmath, from
+# tests/regen_power_refs.py: the critical value x* solves F0(x*) = 0.99 by
+# mpmath.findroot on the null's Imhof integral, and the power is 1 - Fa(x*).
+# x* = 3.317020393253876 for r0-model25 and 2.991326528002009 for
+# seed4201-r0-model25.
 SEEDED_POWER_MODELS = {
     # seed 2202, round 0: m = 14
     "r0-model25": dict(
@@ -300,5 +303,12 @@ SEEDED_POWER_MODELS = {
         zeta=[0.0011585787704002826, 0.2751857497388966, 1.6590557221185787,
               10.953427319966854],
     ),
+    # seed 4201, round 0: m = 5
+    "seed4201-r0-model25": dict(
+        sigma=[0.5638644856215508, 0.5638644856215508, 0.1915698483002885,
+               0.15193835191325472],
+        zeta=[1.3077687665422755, 0.0, -0.4622057346094808, 9.98512880779876],
+    ),
 }
-POWER_AT_1PCT = {"r0-model25": 0.010000420251350803155716}
+POWER_AT_1PCT = {"r0-model25": 0.010000420251350803155716,
+                 "seed4201-r0-model25": 0.6414937556367186967407892}

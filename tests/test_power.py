@@ -24,6 +24,7 @@ from gofpower.model import (
     uniform_model,
     zero_perturbation,
 )
+from gofpower import power
 from gofpower.power import (
     _cdf_on_grid,
     asymptotic_power,
@@ -32,7 +33,7 @@ from gofpower.power import (
     power_curve,
     pvalue,
 )
-from gofpower.quadform import DEFAULT_CONFIG, QuadratureConfig, cdf_many
+from gofpower.quadform import DEFAULT_CONFIG, QuadratureConfig, cdf, cdf_many
 from gofpower.spectrum import Spectrum, compute_spectrum
 
 CHI9_95 = 16.91897760462507  # oracle chi2_quantile(9, 0.95)
@@ -219,9 +220,10 @@ class TestPowerAt:
         interp = np.interp(0.05, curve.alpha[::-1], curve.power[::-1])
         assert got == pytest.approx(interp, abs=1e-4)
 
-    def test_oracle_value_at_five_percent(self, null10, alt61):
-        want = 1.0 - noncentral_chi2_cdf(9, 4.0, chi2_quantile(9, 0.95))
-        assert asymptotic_power(0.05, null10, alt61) == pytest.approx(want, abs=1e-6)
+    @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.1])
+    def test_oracle_value(self, null10, alt61, alpha):
+        want = 1.0 - noncentral_chi2_cdf(9, 4.0, chi2_quantile(9, 1.0 - alpha))
+        assert asymptotic_power(alpha, null10, alt61) == pytest.approx(want, abs=1e-9)
 
     def test_rejects_bad_alpha(self, null10, alt61):
         for alpha in (0.0, 1.0, -0.2, 2.0):
@@ -238,7 +240,9 @@ class TestPowerAt:
 def test_seeded_benchmark_power_not_below_alpha(name):
     # tiny sigma^2 carrying most of the shift gave a slow real-axis tail that
     # the doubling-window march cut short, pushing the power at 1% below
-    # alpha; the extrapolated tail converges without a warning
+    # alpha; the extrapolated tail converges without a warning.  Where a
+    # 30-digit power is frozen, the critical value's stop rule must leave
+    # the power within 1e-9 of it
     ref = SEEDED_POWER_MODELS[name]
     alt = Spectrum.from_params(ref["sigma"], ref["zeta"])
     alphas = (0.01, 0.05, 0.1)
@@ -248,7 +252,32 @@ def test_seeded_benchmark_power_not_below_alpha(name):
     assert all(p >= alpha - 1e-7 for alpha, p in zip(alphas, powers)), powers
     assert powers == sorted(powers)
     if name in POWER_AT_1PCT:
-        assert abs(powers[0] - POWER_AT_1PCT[name]) <= 1e-7
+        assert abs(powers[0] - POWER_AT_1PCT[name]) <= 1e-9
+
+
+@pytest.mark.parametrize("case", ["example1", "example2", "example3", "example4",
+                                  *sorted(SEEDED_POWER_MODELS)])
+def test_critical_value_cost_and_range(case, monkeypatch):
+    # Brent's method from the two-cumulant start: at most 16 cdf calls per
+    # alpha, the alternative's included, from alpha = 1e-10 to 0.999
+    if case in SEEDED_POWER_MODELS:
+        alt = Spectrum.from_params(SEEDED_POWER_MODELS[case]["sigma"],
+                                   SEEDED_POWER_MODELS[case]["zeta"])
+    else:
+        _, model, pert = builtin_examples()[int(case[-1]) - 1]
+        alt = compute_spectrum(model, pert)
+    calls = []
+
+    def counting_cdf(*args, **kwargs):
+        calls.append(args[0])
+        return cdf(*args, **kwargs)
+
+    monkeypatch.setattr(power, "cdf", counting_cdf)
+    for alpha in (1e-10, 1e-6, 0.01, 0.05, 0.1, 0.5, 0.999):
+        calls.clear()
+        got = asymptotic_power(alpha, alt.null(), alt)
+        assert len(calls) <= 16, (alpha, len(calls))
+        assert alpha - 1e-7 <= got <= 1.0, (alpha, got)
 
 
 class TestDominance:

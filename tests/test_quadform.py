@@ -20,7 +20,7 @@ from gofpower.model import (
     perturbation_from_spec,
     uniform_model,
 )
-from gofpower.power import default_grid
+from gofpower.power import asymptotic_power, default_grid
 from gofpower.quadform import (
     Method,
     NumericalFailureError,
@@ -340,6 +340,21 @@ class TestCdf:
         # under __debug__; a full evaluation exercising many panels passes
         ev = cdf(0.8, spec61, QuadratureConfig(abs_tol=1e-12, rel_tol=1e-12))
         assert ev.converged
+
+    @pytest.mark.parametrize("call", ["cdf", "cdf_many", "asymptotic_power"])
+    def test_warning_points_at_caller(self, spec61, call):
+        # an unconverged integral is reported against the first frame
+        # outside the package, however deep the call into it
+        starved = QuadratureConfig(abs_tol=1e-15, rel_tol=1e-15, max_subdivisions=1)
+        run = {"cdf": lambda: cdf(1.0, spec61, starved),
+               "cdf_many": lambda: cdf_many([1.0], spec61, starved),
+               "asymptotic_power": lambda: asymptotic_power(
+                   0.05, spec61.null(), spec61, starved)}[call]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run()
+        assert caught
+        assert all(w.filename == __file__ for w in caught)
 
 
 def complex_shifted(y, x, spec):
