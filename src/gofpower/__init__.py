@@ -30,7 +30,6 @@ from .model import (
     zero_perturbation,
 )
 from .spectrum import (
-    DegenerateModelError,
     Spectrum,
     compute_spectrum,
     eigendecompose,
@@ -44,7 +43,6 @@ from .quadform import (
     adaptive_integrate,
     cdf,
     cdf_many,
-    stability_bound,
 )
 from .power import (
     CurveMeta,

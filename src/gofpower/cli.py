@@ -24,8 +24,8 @@ from .model import (
 )
 from .montecarlo import empirical_power, simulate_statistics
 from .power import default_grid, power_curve
-from .quadform import NumericalFailureError, QuadratureConfig, cdf_many
-from .spectrum import DegenerateModelError, compute_spectrum
+from .quadform import QuadratureConfig, cdf_many
+from .spectrum import compute_spectrum
 from .svgplot import power_overlay_svg
 
 EXIT_OK = 0
@@ -225,7 +225,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
-    except (DegenerateModelError, NumericalFailureError, ArithmeticError) as exc:
+    except ArithmeticError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ModelError, ValueError, OSError) as exc:

@@ -36,12 +36,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "Method", "QuadratureConfig", "CdfEvaluation", "IntegralResult",
-    "NumericalFailureError", "adaptive_integrate", "stability_bound", "cdf",
-    "cdf_many",
+    "NumericalFailureError", "adaptive_integrate", "cdf", "cdf_many",
 ]
 
-# exponent cap: exp(x) overflows just above x = 709
-_EXP_OVERFLOW = 700.0
 # work in flight in cdf_many: integrals advanced together, and node x group
 # elements per integrand call.  Larger batches save no time, only memory.
 _IN_FLIGHT = 128
@@ -149,25 +146,6 @@ for _j in range(5):
     _WG_FULL[2 * _j + 1] = _WG[_j]
     _WG_FULL[20 - (2 * _j + 1)] = _WG[_j]
 del _j
-
-
-def stability_bound(zeta, ell: int | None = None) -> float:
-    """Product over k of exp(zeta_k^2 sqrt(1 + 1/ell) / 2).
-
-    Computed as a single exp of the summed exponent so that individual
-    factors cannot overflow; an exponent beyond the double-precision range
-    returns +inf, which always routes evaluation away from the shifted
-    contour.
-    """
-    z = np.asarray(zeta, dtype=float)
-    if ell is None:
-        ell = z.size
-    if ell < 1:
-        raise ValueError("ell must be a positive integer")
-    exponent = 0.5 * math.sqrt(1.0 + 1.0 / ell) * float(z @ z)
-    if exponent > _EXP_OVERFLOW:
-        return math.inf
-    return math.exp(exponent)
 
 
 def _shifted_values(y, x, s2, cnt, z2, ell):

@@ -14,38 +14,28 @@ over those bins that sum to zero.  The others are the roots of the secular
 equation sum_g c_g / (r_g - lambda) = 0, one between each pair of
 consecutive distinct r_g, with eigenvectors proportional to 1/(r - lambda)
 (Bunch, Nielsen & Sorensen 1978, Numer. Math. 31:31).
+
+Every secular root lies strictly between two poles, and every tied
+eigenvalue is a pole, so each nonzero eigenvalue is at least 1/max p0 > 0:
+every p0 > 0 has a limit law, whatever its ratio max p0 / min p0.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .model import DimensionError, Perturbation, ProbabilityModel
-from .quadform import stability_bound
 
-__all__ = ["Spectrum", "DegenerateModelError", "eigendecompose", "compute_spectrum"]
+__all__ = ["Spectrum", "eigendecompose", "compute_spectrum"]
 
-DEGENERATE_REL_TOL = 1e-10  # eigenvalues below this times the largest are "zero"
+# exponent cap: exp(x) overflows just above x = 709
+_EXP_OVERFLOW = 700.0
 # relative gap under which two variances are treated as one eigenvalue group
 _GROUP_RTOL = 1e-12
-
-
-class DegenerateModelError(ValueError):
-    """A nonzero eigenvalue fell below the degeneracy threshold.
-
-    Happens when some model entry is numerically indistinguishable from 0
-    or 1; the attached condition ratio max(p0)/min(p0) quantifies it.
-    """
-
-    def __init__(self, condition_ratio: float):
-        super().__init__(
-            "model is numerically degenerate: an eigenvalue of B is within "
-            f"{DEGENERATE_REL_TOL:g} of zero relative to the largest "
-            f"(condition ratio max p0 / min p0 = {condition_ratio:.3e})")
-        self.condition_ratio = condition_ratio
 
 
 def _groups(sigma, zeta):
@@ -81,7 +71,9 @@ class Spectrum:
     """Parameters (sigma_k, zeta_k) of the limit law, sigma descending.
 
     ``stability_rhs`` caches the a-priori numerator bound used to pick the
-    integral representation; it is 1 exactly when all zeta vanish.
+    integral representation, the product over k of
+    exp(zeta_k^2 sqrt(1 + 1/ell) / 2); it is 1 exactly when all zeta
+    vanish, and +inf when the summed exponent passes the double range.
     ``groups`` is the law as the integrands use it, built once here:
     (sigma^2 per group, multiplicity, summed zeta^2, ell), read-only.
     """
@@ -95,15 +87,17 @@ class Spectrum:
     def __post_init__(self):
         sigma = np.asarray(self.sigma, dtype=float)
         zeta = np.asarray(self.zeta, dtype=float)
-        if sigma.shape != (self.ell,) or zeta.shape != (self.ell,):
-            raise DimensionError("sigma and zeta must both have length ell")
+        if self.ell < 1 or sigma.shape != (self.ell,) or zeta.shape != (self.ell,):
+            raise DimensionError("sigma and zeta must both have length ell >= 1")
         if np.any(sigma <= 0) or not np.all(np.isfinite(sigma)):
             raise ValueError("all sigma must be finite and strictly positive")
         if not np.all(np.isfinite(zeta)):
             raise ValueError("all zeta must be finite")
         if np.any(np.diff(sigma) > 0):
             raise ValueError("sigma must be stored in descending order")
-        object.__setattr__(self, "stability_rhs", stability_bound(zeta, self.ell))
+        exponent = 0.5 * math.sqrt(1.0 + 1.0 / self.ell) * float(zeta @ zeta)
+        object.__setattr__(self, "stability_rhs", math.inf
+                           if exponent > _EXP_OVERFLOW else math.exp(exponent))
         for arr in (sigma, zeta):
             arr.flags.writeable = False
         object.__setattr__(self, "sigma", sigma)
@@ -208,7 +202,5 @@ def compute_spectrum(model: ProbabilityModel, pert: Perturbation) -> Spectrum:
         raise DimensionError(
             f"perturbation has {pert.m} bins, model has {model.m}")
     lam, eta = eigendecompose(model.probs, pert.entries)
-    if lam[0] <= DEGENERATE_REL_TOL * lam[-1]:
-        raise DegenerateModelError(float(model.probs.max() / model.probs.min()))
     sigma = 1.0 / np.sqrt(lam)
     return Spectrum(ell=model.m - 1, sigma=sigma, zeta=eta / sigma)

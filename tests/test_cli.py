@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from oracles import noncentral_chi2_cdf
+from oracles import chi2_cdf, noncentral_chi2_cdf
 
 from gofpower.cli import EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK, main
 
@@ -214,6 +214,40 @@ class TestPoissonModelSpec:
         assert "10 trials" in out
         assert len(out_path.read_text().splitlines()) == 11
 
+    def test_tail_tolerance_below_float_rounding_answered(self, capsys):
+        # tol 1e-16 keeps masses down to ~1e-16 (max p0 / min p0 = 7e14);
+        # the CDF moves by only ~1e-10 from the 1e-10 truncation's
+        values = []
+        for spec in ("poisson:3:1e-16", "poisson:3:1e-10"):
+            code, out, err = run(capsys, "cdf", "--model", spec, "--x", "1")
+            assert code == EXIT_OK, err
+            fields = dict(kv.split("=") for kv in out.split())
+            assert "converged" not in fields
+            values.append(float(fields["cdf"]))
+        assert abs(values[0] - values[1]) <= 1e-9
+
+
+class TestExtremeRatioModel:
+    P0 = [0.5 - 5e-12, 0.5 - 5e-12, 1e-11]   # max p0 / min p0 = 5e10
+
+    def test_spectrum_and_cdf_answered(self, capsys, tmp_path):
+        # the two heavy bins tie: sigma_1^2 = 0.5 - 5e-12, and the other
+        # variance is ~1e-11, so the null is sigma_1^2 chi^2_1 to ~1e-11
+        case = tmp_path / "ratio5e10.json"
+        case.write_text(json.dumps({"p0": self.P0, "a": [0.0, 0.0, 0.0]}))
+        code, out, err = run(capsys, "spectrum", "--model", f"file:{case}")
+        assert code == EXIT_OK, err
+        s2 = json.loads(out)["sigma2"]
+        assert s2[0] == pytest.approx(self.P0[0], rel=4e-16)
+        assert 0.0 < s2[1] < 1e-10
+        xs = ["0.1", "0.5", "1", "3"]
+        code, out, err = run(capsys, "cdf", "--model", f"file:{case}", "--x", *xs)
+        assert code == EXIT_OK, err
+        for x, line in zip(xs, out.splitlines()):
+            fields = dict(kv.split("=") for kv in line.split())
+            assert "converged" not in fields
+            assert abs(float(fields["cdf"]) - chi2_cdf(1, float(x) / s2[0])) <= 1e-9
+
 
 class TestBadInput:
     def test_malformed_model_file(self, capsys, tmp_path):
@@ -232,12 +266,3 @@ class TestBadInput:
         with pytest.raises(SystemExit) as exc:
             main(["cdf", "--model", "uniform:4", "--x", "1", "--frobnicate"])
         assert exc.value.code == 2
-
-    def test_degenerate_model_is_numerical_error(self, capsys, tmp_path):
-        case = tmp_path / "degen.json"
-        case.write_text(json.dumps({
-            "p0": [0.5 - 5e-12, 0.5 - 5e-12, 1e-11],
-            "a": [0.0, 0.0, 0.0]}))
-        code, _, err = run(capsys, "spectrum", "--model", f"file:{case}")
-        assert code == EXIT_NUMERICAL
-        assert "degenerate" in err

@@ -11,7 +11,12 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import HEAD_ESTIMATE_MISS, SEEDED_CDF_REFERENCES, chi2_cdf
+from oracles import (
+    HEAD_ESTIMATE_MISS,
+    IMHOF_TAIL_MISSES,
+    SEEDED_CDF_REFERENCES,
+    chi2_cdf,
+)
 
 from gofpower.model import (
     alternating_perturbation,
@@ -30,7 +35,6 @@ from gofpower.quadform import (
     adaptive_integrate,
     cdf,
     cdf_many,
-    stability_bound,
 )
 from gofpower.spectrum import Spectrum, compute_spectrum
 
@@ -143,12 +147,7 @@ class TestAdaptiveIntegrate:
 
 class TestStabilityBound:
     def test_zero_zeta_is_one(self):
-        assert stability_bound(np.zeros(7)) == 1.0
-
-    def test_single_mode_closed_form(self):
-        # ell=1, zeta^2=2: exp(sqrt(2))
-        assert stability_bound([math.sqrt(2.0)], 1) == pytest.approx(
-            math.exp(math.sqrt(2.0)), rel=1e-14)
+        assert Spectrum.from_params(np.ones(7), np.zeros(7)).stability_rhs == 1.0
 
     def test_benchmark_constants(self):
         expected = [8.233, 2.443, 24.05, 1.478e16]
@@ -156,11 +155,13 @@ class TestStabilityBound:
             spec = compute_spectrum(model, pert)
             rel = 5e-3 if name == "example4" else 5e-4
             assert spec.stability_rhs == pytest.approx(want, rel=rel)
-            assert spec.stability_rhs == stability_bound(spec.zeta, spec.ell)
+            # one exp of the summed exponent, bit for bit
+            exponent = 0.5 * math.sqrt(1.0 + 1.0 / spec.ell) * float(spec.zeta @ spec.zeta)
+            assert spec.stability_rhs == math.exp(exponent)
 
     def test_overflow_returns_inf(self):
+        # each factor exp(30^2 sqrt(5/4) / 2) is finite; their product is not
         huge = Spectrum.from_params(np.ones(4), np.full(4, 30.0))
-        assert stability_bound(huge.zeta, 4) == math.inf
         assert huge.stability_rhs == math.inf
 
 
@@ -455,5 +456,21 @@ def test_head_estimate_holds_on_r0_model85():
     ref = HEAD_ESTIMATE_MISS
     ev = cdf(ref["x"], Spectrum.from_params(ref["sigma"], ref["zeta"]))
     assert ev.method is Method.SHIFTED_CONTOUR
+    assert ev.converged
+    assert abs(ev.value - ref["cdf"]) <= ev.abs_error_estimate
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the real-axis head ends at Y_x = 10 + sqrt(ell), because the phase slope "
+    "moves by under 5% over one doubling there; tiny sigma^2 keep it moving "
+    "further out, so the epsilon-extrapolated tail starts before the phase "
+    "settles and the value misses by 1.5-6x its estimate.  Starting the "
+    "doubling at twice that Y_x mends all three, but moves every real-axis "
+    "node count; see the reference-set item on ROADMAP.md"))
+@pytest.mark.parametrize("name", list(IMHOF_TAIL_MISSES))
+def test_imhof_tail_estimate_holds(name):
+    ref = IMHOF_TAIL_MISSES[name]
+    ev = cdf(ref["x"], Spectrum.from_params(ref["sigma"], ref["zeta"]))
+    assert ev.method is Method.IMHOF
     assert ev.converged
     assert abs(ev.value - ref["cdf"]) <= ev.abs_error_estimate

@@ -18,7 +18,6 @@ from gofpower.model import (
     zero_perturbation,
 )
 from gofpower.spectrum import (
-    DegenerateModelError,
     Spectrum,
     compute_spectrum,
     eigendecompose,
@@ -67,7 +66,7 @@ def secular_case(seed, kind, ratio):
 
 SECULAR_CASES = [(seed, kind, ratio)
                  for seed, kind in enumerate(("distinct", "tied", "near-tied"))
-                 for ratio in (1.0, 1.001, 10.0, 1e3, 1e6, 1e9)]
+                 for ratio in (1.0, 1.001, 10.0, 1e3, 1e6, 1e9, 1e12, 1e15)]
 
 
 def oracle_runs(model, pert):
@@ -273,14 +272,21 @@ class TestComputeSpectrum:
         assert np.allclose(spec.zeta[order] ** 2, spec_p.zeta[order_p] ** 2,
                            rtol=1e-8, atol=1e-12)
 
-    def test_degenerate_model_rejected(self):
-        # two heavy bins force an O(1) eigenvalue; the tiny bin forces a huge
-        # one, so their ratio crosses the 1e-10 degeneracy threshold
+    def test_extreme_ratio_answered(self):
+        # max p0 / min p0 = 5e10: every nonzero eigenvalue is at least
+        # 1/max p0, so the spectrum exists however small min p0 is.  The two
+        # heavy bins tie at the pole 1/max p0; the secular root lies between
+        # that pole and 1/min p0, and both are within 4 ulp of the oracle
         probs = np.array([0.5 - 5e-12, 0.5 - 5e-12, 1e-11])
-        model = ProbabilityModel(probs)
-        with pytest.raises(DegenerateModelError) as err:
-            compute_spectrum(model, zero_perturbation(3))
-        assert err.value.condition_ratio == pytest.approx(5e10, rel=1e-6)
+        model, pert = ProbabilityModel(probs), zero_perturbation(3)
+        lam, _ = eigendecompose(model.probs, pert.entries)
+        assert lam[0] == 1.0 / probs[0]
+        assert 1.0 / probs[0] < lam[1] < 1.0 / probs[2]
+        s2 = compute_spectrum(model, pert).sigma ** 2
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            for start, _, lam_k, _ in oracle_runs(model, pert):
+                assert abs(decimal.Decimal(float(s2[start])) * lam_k - 1) <= 4 * EPS
 
     def test_dimension_mismatch(self):
         with pytest.raises(Exception):
@@ -293,13 +299,18 @@ class TestSpectrumType:
         assert spec.sigma.tolist() == [3.0, 2.0, 1.0]
         assert spec.zeta.tolist() == [0.2, 0.3, 0.1]
 
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError):
+            Spectrum(ell=0, sigma=[], zeta=[])
+
     def test_rejects_nonpositive_sigma(self):
         with pytest.raises(ValueError):
             Spectrum.from_params([1.0, 0.0], [0.0, 0.0])
 
     def test_stability_cached(self):
+        # ell = 1, zeta^2 = 2: exp(sqrt(2))
         spec = Spectrum.from_params([1.0], [math.sqrt(2.0)])
-        assert spec.stability_rhs == pytest.approx(math.exp(math.sqrt(2.0)), rel=1e-12)
+        assert spec.stability_rhs == pytest.approx(math.exp(math.sqrt(2.0)), rel=1e-14)
 
     def test_stability_at_least_one(self):
         rng = np.random.default_rng(3)
