@@ -149,6 +149,11 @@ class TestStabilityBound:
     def test_zero_zeta_is_one(self):
         assert Spectrum.from_params(np.ones(7), np.zeros(7)).stability_rhs == 1.0
 
+    def test_single_mode_closed_form(self):
+        # ell=1, zeta^2=2: exp(sqrt(2))
+        spec = Spectrum.from_params([1.0], [math.sqrt(2.0)])
+        assert spec.stability_rhs == pytest.approx(math.exp(math.sqrt(2.0)), rel=1e-14)
+
     def test_benchmark_constants(self):
         expected = [8.233, 2.443, 24.05, 1.478e16]
         for (name, model, pert), want in zip(builtin_examples(), expected):
