@@ -8,9 +8,7 @@ asymptotic power curves, and a Monte-Carlo cross-check at finite n.
 """
 
 from .model import (
-    Alternative,
     AlternativeError,
-    AlternativeValidation,
     BuilderError,
     DimensionError,
     DistributionError,
@@ -26,21 +24,14 @@ from .model import (
     perturbation_from_spec,
     poisson_model,
     uniform_model,
-    validate_alternative,
     zero_perturbation,
 )
-from .spectrum import (
-    Spectrum,
-    compute_spectrum,
-    eigendecompose,
-)
+from .spectrum import Spectrum, compute_spectrum
 from .quadform import (
     CdfEvaluation,
-    IntegralResult,
     Method,
     NumericalFailureError,
     QuadratureConfig,
-    adaptive_integrate,
     cdf,
     cdf_many,
 )

@@ -24,7 +24,7 @@ from .model import (
 )
 from .montecarlo import empirical_power, simulate_statistics
 from .power import default_grid, power_curve
-from .quadform import QuadratureConfig, cdf_many
+from .quadform import DEFAULT_CONFIG, QuadratureConfig, cdf_many
 from .spectrum import compute_spectrum
 from .svgplot import power_overlay_svg
 
@@ -36,10 +36,12 @@ _MC_ALPHA_GRID = np.arange(1, 200) / 200.0
 
 
 def _add_quad_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--abs-tol", type=float, default=1e-9)
-    p.add_argument("--rel-tol", type=float, default=1e-9)
-    p.add_argument("--stability-threshold", type=float, default=1e8)
-    p.add_argument("--max-subdivisions", type=int, default=200)
+    p.add_argument("--abs-tol", type=float, default=DEFAULT_CONFIG.abs_tol)
+    p.add_argument("--rel-tol", type=float, default=DEFAULT_CONFIG.rel_tol)
+    p.add_argument("--stability-threshold", type=float,
+                   default=DEFAULT_CONFIG.stability_threshold)
+    p.add_argument("--max-subdivisions", type=int,
+                   default=DEFAULT_CONFIG.max_subdivisions)
 
 
 def _add_model_args(p: argparse.ArgumentParser, pert_default=None) -> None:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -114,36 +113,6 @@ class Perturbation:
         return f"Perturbation(m={self.m})"
 
 
-@dataclass(frozen=True, eq=False)
-class Alternative:
-    """A (model, perturbation, n) triple; n only matters for finite-n simulation."""
-
-    model: ProbabilityModel
-    perturbation: Perturbation
-    n: int
-
-    def __post_init__(self):
-        if self.perturbation.m != self.model.m:
-            raise DimensionError(
-                f"perturbation has {self.perturbation.m} bins, model has {self.model.m}")
-        if int(self.n) < 1:
-            raise ModelError("n must be a positive integer")
-
-
-@dataclass(frozen=True, eq=False)
-class AlternativeValidation:
-    """Outcome of checking that p0 + a/sqrt(n) is a valid distribution."""
-
-    valid: bool
-    p_a: np.ndarray
-    bad_bins: tuple[int, ...]   # 1-indexed bins where p_a leaves [0, 1]
-
-    def message(self) -> str:
-        if self.valid:
-            return "alternative is a valid distribution"
-        return f"p0 + a/sqrt(n) leaves [0, 1] at bins {list(self.bad_bins)}"
-
-
 def uniform_model(m: int) -> ProbabilityModel:
     """Uniform distribution over m bins."""
     if m < 2:
@@ -195,17 +164,6 @@ def zero_perturbation(m: int) -> Perturbation:
     if m < 2:
         raise DimensionError(f"m must be at least 2, got {m}")
     return Perturbation(np.zeros(m))
-
-
-def validate_alternative(alt: Alternative) -> AlternativeValidation:
-    """Check entrywise that p0 + a/sqrt(n) lies in [0, 1]."""
-    p_a = alt.model.probs + alt.perturbation.entries / math.sqrt(alt.n)
-    bad = np.flatnonzero((p_a < 0.0) | (p_a > 1.0))
-    return AlternativeValidation(
-        valid=bad.size == 0,
-        p_a=_readonly(p_a),
-        bad_bins=tuple(int(b) + 1 for b in bad),
-    )
 
 
 def load_case(path) -> tuple[ProbabilityModel, Perturbation]:

@@ -16,11 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
-    Alternative,
     AlternativeError,
+    DimensionError,
+    ModelError,
     Perturbation,
     ProbabilityModel,
-    validate_alternative,
 )
 
 __all__ = [
@@ -88,18 +88,24 @@ def simulate_statistics(model: ProbabilityModel, pert: Perturbation,
     The multinomial sampler is numpy's conditional-binomial generator
     (exact binomials via inversion / BTPE), O(m) per trial regardless of n.
     Trial t always consumes its own Philox stream keyed [seed mod 2^64, t],
-    so its statistic is the same whatever the trial count.
+    so its statistic is the same whatever the trial count.  An alternative
+    p_a = p0 + a/sqrt(n) that leaves [0, 1] raises ``AlternativeError``.
     """
     if trials < 1:
         raise ValueError("trials must be a positive integer")
-    alt = Alternative(model, pert, n)
-    check = validate_alternative(alt)
-    if not check.valid:
-        raise AlternativeError(check.message() + f" (n={n})")
+    if pert.m != model.m:
+        raise DimensionError(f"perturbation has {pert.m} bins, model has {model.m}")
+    if int(n) < 1:
+        raise ModelError("n must be a positive integer")
     p0 = model.probs
+    p_a = p0 + pert.entries / math.sqrt(n)
+    bad = np.flatnonzero((p_a < 0.0) | (p_a > 1.0))
+    if bad.size:
+        raise AlternativeError(
+            f"p0 + a/sqrt(n) leaves [0, 1] at bins {(bad + 1).tolist()} (n={n})")
     inv_n = 1.0 / n
     stats = np.empty(trials)
-    for lo, counts in _count_blocks(seed, n, check.p_a, trials):
+    for lo, counts in _count_blocks(seed, n, p_a, trials):
         d = counts * inv_n - p0
         # one 1-D dot per row: sum(axis=1), einsum or a matrix product would
         # round some statistics differently

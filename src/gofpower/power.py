@@ -69,10 +69,6 @@ class PowerCurve:
     def power(self) -> np.ndarray:
         return 1.0 - self.fa
 
-    @property
-    def points(self) -> list[tuple[float, float]]:
-        return list(zip(self.alpha.tolist(), self.power.tolist()))
-
     def write_csv(self, fh) -> None:
         """17-significant-digit CSV, one row per grid point."""
         fh.write(CSV_HEADER + "\n")
@@ -91,7 +87,7 @@ def default_grid(step: float = 1.0 / 2000.0, x_max: float = 5.0) -> np.ndarray:
 def pvalue(x_statistic: float, null_spec: Spectrum,
            cfg: QuadratureConfig | None = None) -> float:
     """Asymptotic P-value 1 - F0(x) of an observed scaled statistic."""
-    return min(1.0, max(0.0, 1.0 - cdf(x_statistic, null_spec, cfg).value))
+    return 1.0 - cdf(x_statistic, null_spec, cfg).value
 
 
 def _barycentric(u: np.ndarray, nodes: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -255,7 +251,7 @@ def asymptotic_power(alpha: float, null_spec: Spectrum, alt_spec: Spectrum,
         delta = 2.0 * math.ulp(xcur)
         sbis = 0.5 * (xblk - xcur)
         if abs(fcur) <= ROOT_TOL or abs(sbis) < delta:
-            return min(1.0, max(0.0, 1.0 - cdf(xcur, alt_spec, cfg).value))
+            return 1.0 - cdf(xcur, alt_spec, cfg).value
         short = False   # else bisect
         if abs(spre) > delta and abs(fcur) < abs(fpre):
             if xpre == xblk:   # secant

@@ -35,8 +35,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from .spectrum import Spectrum
 
 __all__ = [
-    "Method", "QuadratureConfig", "CdfEvaluation", "IntegralResult",
-    "NumericalFailureError", "adaptive_integrate", "cdf", "cdf_many",
+    "Method", "QuadratureConfig", "CdfEvaluation",
+    "NumericalFailureError", "cdf", "cdf_many",
 ]
 
 # work in flight in cdf_many: integrals advanced together, and node x group

@@ -30,7 +30,7 @@ import numpy as np
 
 from .model import DimensionError, Perturbation, ProbabilityModel
 
-__all__ = ["Spectrum", "eigendecompose", "compute_spectrum"]
+__all__ = ["Spectrum", "compute_spectrum"]
 
 # exponent cap: exp(x) overflows just above x = 709
 _EXP_OVERFLOW = 700.0
@@ -39,20 +39,17 @@ _GROUP_RTOL = 1e-12
 
 
 def _groups(sigma, zeta):
-    """Group equal variances: (sigma2, multiplicity, summed zeta^2, ell).
+    """Group equal variances of a descending sigma: (sigma2, multiplicity,
+    summed zeta^2, ell).
 
     The distribution depends on the zetas of an eigenvalue group only
     through their summed squares, so the grouped integrand is exactly the
     ungrouped one at a fraction of the cost when eigenvalues repeat.
     """
-    sigma2 = sigma ** 2
-    zeta2 = zeta ** 2
-    order = np.argsort(sigma2)[::-1]
-    s2 = sigma2[order]
-    z2 = zeta2[order]
+    s2 = sigma ** 2
     lead = s2[0]
     g_s, g_n, g_z = [lead], [0], [0.0]
-    for s, z in zip(s2, z2):
+    for s, z in zip(s2, zeta ** 2):
         if lead - s > _GROUP_RTOL * lead:
             lead = s
             g_s.append(s)
@@ -63,13 +60,16 @@ def _groups(sigma, zeta):
     arrays = (np.array(g_s), np.array(g_n, dtype=float), np.array(g_z))
     for arr in arrays:
         arr.flags.writeable = False
-    return (*arrays, int(sigma2.size))
+    return (*arrays, int(s2.size))
 
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Parameters (sigma_k, zeta_k) of the limit law, sigma descending.
+    """Parameters (sigma_k, zeta_k) of the limit law.
 
+    ``Spectrum(sigma, zeta)`` sorts the two arrays jointly into descending
+    sigma; tied sigma keep their input order, so a tie group's zeta stays on
+    its first member.  ``ell``, the number of terms, is derived.
     ``stability_rhs`` caches the a-priori numerator bound used to pick the
     integral representation, the product over k of
     exp(zeta_k^2 sqrt(1 + 1/ell) / 2); it is 1 exactly when all zeta
@@ -78,41 +78,33 @@ class Spectrum:
     (sigma^2 per group, multiplicity, summed zeta^2, ell), read-only.
     """
 
-    ell: int
     sigma: np.ndarray
     zeta: np.ndarray
+    ell: int = field(init=False)
     stability_rhs: float = field(init=False)
     groups: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         sigma = np.asarray(self.sigma, dtype=float)
         zeta = np.asarray(self.zeta, dtype=float)
-        if self.ell < 1 or sigma.shape != (self.ell,) or zeta.shape != (self.ell,):
-            raise DimensionError("sigma and zeta must both have length ell >= 1")
+        if sigma.ndim != 1 or sigma.shape != zeta.shape or sigma.size < 1:
+            raise DimensionError("sigma and zeta must be 1-d arrays of equal length >= 1")
         if np.any(sigma <= 0) or not np.all(np.isfinite(sigma)):
             raise ValueError("all sigma must be finite and strictly positive")
         if not np.all(np.isfinite(zeta)):
             raise ValueError("all zeta must be finite")
-        if np.any(np.diff(sigma) > 0):
-            raise ValueError("sigma must be stored in descending order")
-        exponent = 0.5 * math.sqrt(1.0 + 1.0 / self.ell) * float(zeta @ zeta)
+        order = np.argsort(-sigma, kind="stable")
+        sigma, zeta = sigma[order], zeta[order]
+        ell = int(sigma.size)
+        exponent = 0.5 * math.sqrt(1.0 + 1.0 / ell) * float(zeta @ zeta)
         object.__setattr__(self, "stability_rhs", math.inf
                            if exponent > _EXP_OVERFLOW else math.exp(exponent))
         for arr in (sigma, zeta):
             arr.flags.writeable = False
+        object.__setattr__(self, "ell", ell)
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "zeta", zeta)
         object.__setattr__(self, "groups", _groups(sigma, zeta))
-
-    @classmethod
-    def from_params(cls, sigma, zeta) -> "Spectrum":
-        """Build a spectrum from raw parameter arrays (reordered jointly)."""
-        sigma = np.array(sigma, dtype=float)
-        zeta = np.array(zeta, dtype=float)
-        if sigma.shape != zeta.shape or sigma.ndim != 1 or sigma.size < 1:
-            raise DimensionError("sigma and zeta must be 1-d arrays of equal length")
-        order = np.argsort(sigma)[::-1]
-        return cls(ell=sigma.size, sigma=sigma[order], zeta=zeta[order])
 
     def null(self) -> "Spectrum":
         """The null law's parameters: the same sigma, every zeta 0.
@@ -120,21 +112,18 @@ class Spectrum:
         sigma depends on p0 alone, so this equals ``compute_spectrum`` on
         the zero perturbation without a second eigendecomposition.
         """
-        return Spectrum(ell=self.ell, sigma=self.sigma, zeta=np.zeros(self.ell))
+        return Spectrum(self.sigma, np.zeros(self.ell))
 
     def mean(self) -> float:
         """E[X] = sum sigma_k^2 (1 + zeta_k^2)."""
         return float((self.sigma ** 2) @ (1.0 + self.zeta ** 2))
 
-    def as_dict(self) -> dict:
-        return {
+    def to_json(self, **kwargs) -> str:
+        return json.dumps({
             "sigma2": (self.sigma ** 2).tolist(),
             "zeta": self.zeta.tolist(),
             "stability_rhs": self.stability_rhs,
-        }
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.as_dict(), **kwargs)
+        }, **kwargs)
 
 
 def eigendecompose(p0, a):
@@ -203,4 +192,4 @@ def compute_spectrum(model: ProbabilityModel, pert: Perturbation) -> Spectrum:
             f"perturbation has {pert.m} bins, model has {model.m}")
     lam, eta = eigendecompose(model.probs, pert.entries)
     sigma = 1.0 / np.sqrt(lam)
-    return Spectrum(ell=model.m - 1, sigma=sigma, zeta=eta / sigma)
+    return Spectrum(sigma, eta / sigma)

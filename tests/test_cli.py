@@ -7,7 +7,9 @@ import pytest
 
 from oracles import chi2_cdf, noncentral_chi2_cdf
 
+from gofpower import cli
 from gofpower.cli import EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK, main
+from gofpower.quadform import QuadratureConfig
 
 CHI9_95_OVER_10 = 1.691898
 
@@ -37,6 +39,10 @@ class TestSpectrumCommand:
 
 
 class TestCdfCommand:
+    def test_quadrature_defaults_are_the_library_defaults(self):
+        args = cli.build_parser().parse_args(["cdf", "--model", "uniform:3", "--x", "1"])
+        assert cli._quad_config(args) == QuadratureConfig()
+
     def test_chi_square_value(self, capsys):
         code, out, _ = run(capsys, "cdf", "--model", "uniform:10",
                            "--x", str(CHI9_95_OVER_10))
@@ -150,6 +156,14 @@ class TestSimulateCommand:
         assert code == EXIT_INPUT
         assert "bins" in err
 
+    def test_nonpositive_n_exit_code(self, capsys, tmp_path):
+        code, _, err = run(capsys, "simulate", "--model", "uniform:4",
+                           "--pert", "zero", "--n", "0",
+                           "--out", str(tmp_path / "x.csv"))
+        assert code == EXIT_INPUT
+        assert "n must be a positive integer" in err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_threads_flag_rejected(self, tmp_path):
         # trials run in one thread on per-trial streams; there is no thread count
         for command in ("simulate", "examples"):
@@ -184,8 +198,6 @@ class TestExamplesCommand:
                            "example3": "ShiftedContour", "example4": "Imhof"}
 
     def test_failure_removes_partial_outputs(self, capsys, tmp_path, monkeypatch):
-        import gofpower.cli as cli_mod
-
         calls = []
 
         def boom(*args, **kwargs):
@@ -194,8 +206,8 @@ class TestExamplesCommand:
                 raise ArithmeticError("synthetic failure")
             return original(*args, **kwargs)
 
-        original = cli_mod.power_curve
-        monkeypatch.setattr(cli_mod, "power_curve", boom)
+        original = cli.power_curve
+        monkeypatch.setattr(cli, "power_curve", boom)
         code, _, err = run(capsys, "examples", "--out-dir", str(tmp_path),
                            "--n", "100000", "--trials", "50",
                            "--grid-step", "1.0", "--grid-max", "3.0")

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from gofpower.model import (
-    Alternative,
+    AlternativeError,
     BuilderError,
     DimensionError,
     DistributionError,
+    ModelError,
     Perturbation,
     PerturbationError,
     ProbabilityModel,
@@ -22,9 +23,9 @@ from gofpower.model import (
     perturbation_from_spec,
     poisson_model,
     uniform_model,
-    validate_alternative,
     zero_perturbation,
 )
+from gofpower.montecarlo import simulate_statistics
 
 
 class TestProbabilityModel:
@@ -150,27 +151,33 @@ class TestPerturbation:
 
 
 class TestAlternative:
+    # simulate_statistics checks (p0, a, n) before its first draw
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
-            Alternative(uniform_model(4), zero_perturbation(5), 10)
+            simulate_statistics(uniform_model(4), zero_perturbation(5), 10,
+                                trials=1, seed=0)
+
+    def test_nonpositive_n(self):
+        for n in (0, -3):
+            with pytest.raises(ModelError, match="n must be a positive integer"):
+                simulate_statistics(uniform_model(4), zero_perturbation(4), n,
+                                    trials=1, seed=0)
 
     def test_valid_benchmark_case(self):
-        alt = Alternative(uniform_model(10), alternating_perturbation(10, 0.2),
-                          1_000_000)
-        res = validate_alternative(alt)
-        assert res.valid and res.bad_bins == ()
-        assert res.p_a.min() == pytest.approx(0.1 - 0.2 / 1000.0, rel=1e-12)
+        simulate_statistics(uniform_model(10), alternating_perturbation(10, 0.2),
+                            1_000_000, trials=1, seed=0)
 
     def test_zero_perturbation_always_valid(self):
-        alt = Alternative(uniform_model(6), zero_perturbation(6), 1)
-        assert validate_alternative(alt).valid
+        simulate_statistics(uniform_model(6), zero_perturbation(6), 1,
+                            trials=1, seed=0)
 
     def test_invalid_at_small_n(self):
-        alt = Alternative(uniform_model(10), alternating_perturbation(10, 0.2), 1)
-        res = validate_alternative(alt)
-        assert not res.valid
-        assert 1 in res.bad_bins          # 0.1 - 0.2 < 0 on odd bins
-        assert "bins" in res.message()
+        with pytest.raises(AlternativeError) as err:
+            simulate_statistics(uniform_model(10), alternating_perturbation(10, 0.2),
+                                1, trials=1, seed=0)
+        # 0.1 - 0.2 < 0 on the odd bins, 1-indexed
+        assert str(err.value) == (
+            "p0 + a/sqrt(n) leaves [0, 1] at bins [1, 3, 5, 7, 9] (n=1)")
 
 
 class TestBuildersAndFiles:
@@ -237,10 +244,11 @@ class TestBuiltinExamples:
 
     def test_example_validity_at_large_n(self):
         for _, model, pert in builtin_examples():
-            assert validate_alternative(Alternative(model, pert, 10 ** 6)).valid
+            simulate_statistics(model, pert, 10 ** 6, trials=1, seed=0)
 
     def test_example4_invalid_at_n_1e5(self):
         # bin 12 mass e^-3 3^11/11! is smaller than (1/11)/sqrt(1e5)
         _, model, pert = builtin_examples()[3]
-        res = validate_alternative(Alternative(model, pert, 100_000))
-        assert not res.valid and 12 in res.bad_bins
+        with pytest.raises(AlternativeError) as err:
+            simulate_statistics(model, pert, n=100_000, trials=1, seed=0)
+        assert str(err.value).endswith("at bins [12] (n=100000)")

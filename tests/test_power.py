@@ -195,7 +195,7 @@ class TestInterpolatedCurve:
         # tiny estimates; the interpolant through its nodes stays within
         # its bound of the 30-digit value
         ref = SEEDED_CDF_REFERENCES[name]
-        spec = Spectrum.from_params(ref["sigma"], ref["zeta"])
+        spec = Spectrum(ref["sigma"], ref["zeta"])
         grid = default_grid(0.005) * spec.null().mean()
         i = int(np.flatnonzero(grid == ref["x"])[0])
         with warnings.catch_warnings():
@@ -244,7 +244,7 @@ def test_seeded_benchmark_power_not_below_alpha(name):
     # 30-digit power is frozen, the critical value's stop rule must leave
     # the power within 1e-9 of it
     ref = SEEDED_POWER_MODELS[name]
-    alt = Spectrum.from_params(ref["sigma"], ref["zeta"])
+    alt = Spectrum(ref["sigma"], ref["zeta"])
     alphas = (0.01, 0.05, 0.1)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -261,8 +261,8 @@ def test_critical_value_cost_and_range(case, monkeypatch):
     # Brent's method from the two-cumulant start: at most 16 cdf calls per
     # alpha, the alternative's included, from alpha = 1e-10 to 0.999
     if case in SEEDED_POWER_MODELS:
-        alt = Spectrum.from_params(SEEDED_POWER_MODELS[case]["sigma"],
-                                   SEEDED_POWER_MODELS[case]["zeta"])
+        alt = Spectrum(SEEDED_POWER_MODELS[case]["sigma"],
+                       SEEDED_POWER_MODELS[case]["zeta"])
     else:
         _, model, pert = builtin_examples()[int(case[-1]) - 1]
         alt = compute_spectrum(model, pert)

@@ -49,14 +49,14 @@ def spec61():
 
 @pytest.fixture(scope="module")
 def spec_unit():
-    return Spectrum.from_params([1.0], [0.0])
+    return Spectrum([1.0], [0.0])
 
 
 def random_spectrum(rng, ell=None):
     ell = ell or int(rng.integers(1, 26))
     sigma2 = rng.uniform(0.01, 10.0, ell)
     zeta = rng.uniform(-3.0, 3.0, ell)
-    return Spectrum.from_params(np.sqrt(sigma2), zeta)
+    return Spectrum(np.sqrt(sigma2), zeta)
 
 
 class TestGaussKronrodTable:
@@ -117,7 +117,7 @@ class TestAdaptiveIntegrate:
         # the integrand decays only algebraically; the epsilon-extrapolated
         # half-periods close the tail without a warning, and the value agrees
         # with the shifted contour within the two estimates
-        spec = Spectrum.from_params(sigma, zeta)
+        spec = Spectrum(sigma, zeta)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             ev = cdf(x, spec)
@@ -147,11 +147,11 @@ class TestAdaptiveIntegrate:
 
 class TestStabilityBound:
     def test_zero_zeta_is_one(self):
-        assert Spectrum.from_params(np.ones(7), np.zeros(7)).stability_rhs == 1.0
+        assert Spectrum(np.ones(7), np.zeros(7)).stability_rhs == 1.0
 
     def test_single_mode_closed_form(self):
         # ell=1, zeta^2=2: exp(sqrt(2))
-        spec = Spectrum.from_params([1.0], [math.sqrt(2.0)])
+        spec = Spectrum([1.0], [math.sqrt(2.0)])
         assert spec.stability_rhs == pytest.approx(math.exp(math.sqrt(2.0)), rel=1e-14)
 
     def test_benchmark_constants(self):
@@ -166,7 +166,7 @@ class TestStabilityBound:
 
     def test_overflow_returns_inf(self):
         # each factor exp(30^2 sqrt(5/4) / 2) is finite; their product is not
-        huge = Spectrum.from_params(np.ones(4), np.full(4, 30.0))
+        huge = Spectrum(np.ones(4), np.full(4, 30.0))
         assert huge.stability_rhs == math.inf
 
 
@@ -199,7 +199,7 @@ class TestIntegrandShifted:
         # sum zeta^2 = 3600 puts the bound's exponent far past exp's range,
         # so stability_rhs is inf; forcing the shifted contour still gets a
         # finite window from the exponent, and a converged value
-        huge = Spectrum.from_params(np.ones(4), np.full(4, 30.0))
+        huge = Spectrum(np.ones(4), np.full(4, 30.0))
         assert huge.stability_rhs == math.inf
         ev = cdf(4000.0, huge, method=Method.SHIFTED_CONTOUR)
         imhof = cdf(4000.0, huge)
@@ -326,7 +326,7 @@ class TestCdf:
         rng = np.random.default_rng(23)
         spec = random_spectrum(rng, ell=8)
         c = 3.7
-        scaled = Spectrum.from_params(spec.sigma * c, spec.zeta.copy())
+        scaled = Spectrum(spec.sigma * c, spec.zeta.copy())
         for x in (0.5, 2.0, 9.0):
             a = cdf(x * spec.mean(), spec)
             b = cdf(c * c * x * spec.mean(), scaled)
@@ -397,11 +397,11 @@ class TestRealArithmeticKernels:
         for k in range(20):
             spec = random_spectrum(rng)
             if k % 2:
-                spec = Spectrum.from_params(spec.sigma, np.zeros(spec.ell))
+                spec = Spectrum(spec.sigma, np.zeros(spec.ell))
             elif k % 4 == 0:
                 # repeated variances exercise the eigenvalue grouping
-                spec = Spectrum.from_params(np.repeat(spec.sigma[:3], 3),
-                                            np.resize(spec.zeta, 9))
+                spec = Spectrum(np.repeat(spec.sigma[:3], 3),
+                                np.resize(spec.zeta, 9))
             xs = rng.uniform(0.1, 5.0, 3) * spec.mean()
             got = kernel(ys, xs, *spec.groups)
             for row, x in zip(range(3), xs):
@@ -446,7 +446,7 @@ def test_error_estimate_holds_on_seeded_spectra():
     # reference; the real-axis ones rest on the extrapolated tail
     misses = {}
     for name, ref in SEEDED_CDF_REFERENCES.items():
-        ev = cdf(ref["x"], Spectrum.from_params(ref["sigma"], ref["zeta"]))
+        ev = cdf(ref["x"], Spectrum(ref["sigma"], ref["zeta"]))
         assert ev.converged
         misses[name] = abs(ev.value - ref["cdf"]) / ev.abs_error_estimate
     assert all(ratio <= 1.0 for ratio in misses.values()), misses
@@ -459,7 +459,7 @@ def test_error_estimate_holds_on_seeded_spectra():
     "involved, see the reference-set item on ROADMAP.md"))
 def test_head_estimate_holds_on_r0_model85():
     ref = HEAD_ESTIMATE_MISS
-    ev = cdf(ref["x"], Spectrum.from_params(ref["sigma"], ref["zeta"]))
+    ev = cdf(ref["x"], Spectrum(ref["sigma"], ref["zeta"]))
     assert ev.method is Method.SHIFTED_CONTOUR
     assert ev.converged
     assert abs(ev.value - ref["cdf"]) <= ev.abs_error_estimate
@@ -475,7 +475,7 @@ def test_head_estimate_holds_on_r0_model85():
 @pytest.mark.parametrize("name", list(IMHOF_TAIL_MISSES))
 def test_imhof_tail_estimate_holds(name):
     ref = IMHOF_TAIL_MISSES[name]
-    ev = cdf(ref["x"], Spectrum.from_params(ref["sigma"], ref["zeta"]))
+    ev = cdf(ref["x"], Spectrum(ref["sigma"], ref["zeta"]))
     assert ev.method is Method.IMHOF
     assert ev.converged
     assert abs(ev.value - ref["cdf"]) <= ev.abs_error_estimate

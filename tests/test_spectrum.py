@@ -10,6 +10,7 @@ import pytest
 from oracles import secular_spectrum
 
 from gofpower.model import (
+    DimensionError,
     Perturbation,
     ProbabilityModel,
     alternating_perturbation,
@@ -238,13 +239,19 @@ class TestComputeSpectrum:
         assert float(spec.zeta @ spec.zeta) == pytest.approx(expected, rel=1e-10)
 
     def test_zeta_norm_equals_a_norm_for_uniform(self):
-        rng = np.random.default_rng(9)
-        a = rng.normal(size=12)
-        a -= a.mean()
-        spec = compute_spectrum(uniform_model(12), Perturbation(a))
-        # equal sigma: sum zeta^2 = m * ||a||^2; and ||eta|| = ||a||
-        assert float(spec.zeta @ spec.zeta) == pytest.approx(
-            12 * float(a @ a), rel=1e-10)
+        for m in (12, 40):
+            rng = np.random.default_rng(9)
+            a = rng.normal(size=m)
+            a -= a.mean()
+            spec = compute_spectrum(uniform_model(m), Perturbation(a))
+            # equal sigma: sum zeta^2 = m * ||a||^2; and ||eta|| = ||a||
+            assert float(spec.zeta @ spec.zeta) == pytest.approx(
+                m * float(a @ a), rel=1e-10)
+            # one (m-1)-fold tie: its zeta sits on the tie's first member,
+            # where the joint sort in Spectrum must leave it
+            assert spec.zeta[0] == pytest.approx(math.sqrt(m * float(a @ a)),
+                                                 rel=1e-10)
+            assert not spec.zeta[1:].any()
 
     @pytest.mark.parametrize("m", [2, 5, 20, 50])
     def test_uniform_closed_form(self, m):
@@ -294,37 +301,41 @@ class TestComputeSpectrum:
 
 
 class TestSpectrumType:
-    def test_from_params_sorts_jointly(self):
-        spec = Spectrum.from_params([1.0, 3.0, 2.0], [0.1, 0.2, 0.3])
+    def test_sorts_jointly(self):
+        spec = Spectrum([1.0, 3.0, 2.0], [0.1, 0.2, 0.3])
         assert spec.sigma.tolist() == [3.0, 2.0, 1.0]
         assert spec.zeta.tolist() == [0.2, 0.3, 0.1]
+        assert spec.ell == 3
+        # ties keep their input order, past the 16 entries numpy sorts stably
+        # by default
+        spec = Spectrum(np.tile([1.0, 2.0], 20), np.arange(40.0))
+        assert spec.zeta.tolist() == list(range(1, 40, 2)) + list(range(0, 40, 2))
 
     def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            Spectrum(ell=0, sigma=[], zeta=[])
+        with pytest.raises(DimensionError):
+            Spectrum([], [])
 
     def test_rejects_nonpositive_sigma(self):
         with pytest.raises(ValueError):
-            Spectrum.from_params([1.0, 0.0], [0.0, 0.0])
+            Spectrum([1.0, 0.0], [0.0, 0.0])
 
     def test_stability_cached(self):
         # ell = 1, zeta^2 = 2: exp(sqrt(2))
-        spec = Spectrum.from_params([1.0], [math.sqrt(2.0)])
+        spec = Spectrum([1.0], [math.sqrt(2.0)])
         assert spec.stability_rhs == pytest.approx(math.exp(math.sqrt(2.0)), rel=1e-14)
 
     def test_stability_at_least_one(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
-            spec = Spectrum.from_params(rng.uniform(0.1, 2.0, 5),
-                                        rng.normal(size=5))
+            spec = Spectrum(rng.uniform(0.1, 2.0, 5), rng.normal(size=5))
             assert spec.stability_rhs >= 1.0
 
     def test_json_dump_format(self):
-        spec = Spectrum.from_params([2.0, 1.0], [0.5, -0.5])
+        spec = Spectrum([2.0, 1.0], [0.5, -0.5])
         data = json.loads(spec.to_json())
         assert set(data) == {"sigma2", "zeta", "stability_rhs"}
         assert data["sigma2"] == [4.0, 1.0]
 
     def test_mean(self):
-        spec = Spectrum.from_params([2.0, 1.0], [1.0, 0.0])
+        spec = Spectrum([2.0, 1.0], [1.0, 0.0])
         assert spec.mean() == pytest.approx(4.0 * 2.0 + 1.0)
