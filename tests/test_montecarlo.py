@@ -13,6 +13,7 @@ from gofpower.model import (
     Perturbation,
     ProbabilityModel,
     alternating_perturbation,
+    builtin_examples,
     uniform_model,
     zero_perturbation,
 )
@@ -65,6 +66,11 @@ class TestSimulateStatistics:
             simulate_statistics(uniform_model(10), alternating_perturbation(10, 0.2),
                                 n=1, trials=10, seed=0)
         assert "bins" in str(err.value)
+
+    def test_example4_rejected_at_small_n(self):
+        _, model, pert = builtin_examples()[3]
+        with pytest.raises(AlternativeError):
+            simulate_statistics(model, pert, n=100_000, trials=10, seed=0)
 
     def test_statistics_nonnegative(self):
         sim = simulate_statistics(uniform_model(3), zero_perturbation(3),
