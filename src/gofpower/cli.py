@@ -151,7 +151,7 @@ def cmd_simulate(args) -> int:
     else:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write("statistic\n")
-            for v in sim.statistics:
+            for v in sim.statistics.tolist():
                 fh.write(f"{v:.17g}\n")
     print(f"wrote {args.out}: {sim.trials} trials at n={sim.n}, seed={sim.seed}")
     return EXIT_OK

@@ -61,15 +61,17 @@ def _count_blocks(seed: int, n: int, p: np.ndarray, trials: int):
     Row t of the run is trial t's multinomial(n, p) draw, equal to the draw
     of a fresh Generator(Philox(key=[seed & _MASK64, t])).  One Philox is
     re-keyed through its public state setter before each trial, which is
-    much cheaper than building a generator.  The block is reused: consume
-    it before asking for the next one.
+    much cheaper than building a generator.  The state's counter, key and
+    buffer are plain lists: the setter reads them one element at a time,
+    which costs less from Python ints than from uint64 arrays.  The block is
+    reused: consume it before asking for the next one.
     """
     bitgen = np.random.Philox()
     gen = np.random.Generator(bitgen)
-    key = np.array([seed & _MASK64, 0], dtype=np.uint64)
+    key = [seed & _MASK64, 0]
     state = {"bit_generator": "Philox",
-             "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
-             "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+             "state": {"counter": [0, 0, 0, 0], "key": key},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4,
              "has_uint32": 0, "uinteger": 0}
     buf = np.empty((min(_BLOCK, trials), p.size), dtype=np.int64)
     for lo in range(0, trials, _BLOCK):
@@ -107,10 +109,11 @@ def simulate_statistics(model: ProbabilityModel, pert: Perturbation,
     stats = np.empty(trials)
     for lo, counts in _count_blocks(seed, n, p_a, trials):
         d = counts * inv_n - p0
-        # one 1-D dot per row: sum(axis=1), einsum or a matrix product would
-        # round some statistics differently
-        for t, row in enumerate(d, lo):
-            stats[t] = n * float(row @ row)
+        # a stack of (1, m) @ (m, 1) products: matmul hands each one to the
+        # same 1-D dot that row @ row uses, so every statistic rounds as if
+        # reduced on its own; d @ d.T, einsum or sum(axis=1) would not
+        stats[lo:lo + d.shape[0]] = n * np.matmul(d[:, None, :],
+                                                  d[:, :, None]).ravel()
     stats.flags.writeable = False
     return SimulationResult(statistics=stats, n=n, trials=trials, seed=seed)
 
@@ -120,11 +123,10 @@ def empirical_power(sim_null: SimulationResult, sim_alt: SimulationResult,
     """Empirical power at each alpha from two simulations sharing n.
 
     The critical value is the right-continuous empirical (1 - alpha)
-    quantile of the null statistics (order statistic ceil((1-alpha)*T),
-    ties resolved toward the larger value); power is the fraction of
-    alternative statistics at or above it, counted by bisecting the sorted
-    alternative.  The attached standard error is
-    sqrt(alpha (1 - alpha) / trials).
+    quantile of the null statistics (order statistic floor((1-alpha)*T) + 1,
+    capped at T), all alphas at once; power is the fraction of alternative
+    statistics at or above it, counted by bisecting the sorted alternative.
+    The attached standard error is sqrt(alpha (1 - alpha) / trials).
     """
     if sim_null.n != sim_alt.n:
         raise ValueError(
@@ -132,22 +134,23 @@ def empirical_power(sim_null: SimulationResult, sim_alt: SimulationResult,
     snull = np.sort(sim_null.statistics)
     salt = np.sort(sim_alt.statistics)
     trials = sim_null.trials
-    out = []
-    for alpha in np.asarray(alpha_grid, dtype=float):
-        if not 0.0 < alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
-        low = alpha * trials < _MIN_TAIL_TRIALS
-        if low:
-            warnings.warn(
-                f"alpha={alpha:g} leaves under {_MIN_TAIL_TRIALS} tail trials; "
-                "the empirical quantile is unreliable", RuntimeWarning,
-                stacklevel=2)
-        # right-continuous quantile, boundary ties pushed to the larger
-        # critical value so the empirical size stays at or below alpha
-        rank = min(trials, int(math.floor((1.0 - alpha) * trials + 1e-9)) + 1)
-        critical = snull[rank - 1]
-        power = (sim_alt.trials
-                 - int(np.searchsorted(salt, critical, "left"))) / sim_alt.trials
-        se = math.sqrt(alpha * (1.0 - alpha) / sim_alt.trials)
-        out.append(EmpiricalPowerPoint(float(alpha), power, se, low))
-    return out
+    alphas = np.asarray(alpha_grid, dtype=float)
+    bad = ~((alphas > 0.0) & (alphas < 1.0))
+    if bad.any():
+        raise ValueError(f"alpha must lie in (0, 1), got {alphas[bad][0]!r}")
+    low = alphas * trials < _MIN_TAIL_TRIALS
+    for alpha in alphas[low]:
+        warnings.warn(
+            f"alpha={alpha:g} leaves under {_MIN_TAIL_TRIALS} tail trials; "
+            "the empirical quantile is unreliable", RuntimeWarning,
+            stacklevel=2)
+    # right-continuous quantile, boundary ties pushed to the larger critical
+    # value so the empirical size stays at or below alpha
+    rank = np.minimum(trials,
+                      np.floor((1.0 - alphas) * trials + 1e-9).astype(np.int64) + 1)
+    critical = snull[rank - 1]
+    power = (sim_alt.trials
+             - np.searchsorted(salt, critical, "left")) / sim_alt.trials
+    se = np.sqrt(alphas * (1.0 - alphas) / sim_alt.trials)
+    return [EmpiricalPowerPoint(*row) for row in
+            zip(alphas.tolist(), power.tolist(), se.tolist(), low.tolist())]

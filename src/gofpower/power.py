@@ -72,7 +72,7 @@ class PowerCurve:
     def write_csv(self, fh) -> None:
         """17-significant-digit CSV, one row per grid point."""
         fh.write(CSV_HEADER + "\n")
-        for x, f0, fa in zip(self.x, self.f0, self.fa):
+        for x, f0, fa in zip(self.x.tolist(), self.f0.tolist(), self.fa.tolist()):
             fh.write(f"{x:.17g},{f0:.17g},{fa:.17g},{1.0 - f0:.17g},{1.0 - fa:.17g}\n")
 
 

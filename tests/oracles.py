@@ -179,6 +179,28 @@ def fresh_stream_statistics(seed: int, n: int, p_a, p0, trials: int):
     return out
 
 
+def empirical_power_reference(null_stats, alt_stats, alpha_grid):
+    """(alpha, power, std_error, low_sample) per alpha, one alpha at a time.
+
+    The critical value is the null order statistic of rank
+    floor((1 - alpha) T + 1e-9) + 1, capped at T, computed in float64; power
+    is the share of alternative statistics at or above it, found by
+    bisecting the sorted alternative.  low_sample is alpha T < 10.
+    """
+    snull = np.sort(np.asarray(null_stats))
+    salt = np.sort(np.asarray(alt_stats))
+    trials, alt_trials = snull.size, salt.size
+    out = []
+    for alpha in np.asarray(alpha_grid, dtype=float):
+        rank = min(trials, int(math.floor((1.0 - alpha) * trials + 1e-9)) + 1)
+        critical = snull[rank - 1]
+        above = alt_trials - int(np.searchsorted(salt, critical, "left"))
+        out.append((float(alpha), above / alt_trials,
+                    math.sqrt(alpha * (1.0 - alpha) / alt_trials),
+                    bool(alpha * trials < 10)))
+    return out
+
+
 # Spectra of seeded (p0, a) models, with sigma and zeta written out
 # repr-exact, a CDF argument x each, and a 30-digit F(x).
 #

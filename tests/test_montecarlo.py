@@ -2,11 +2,12 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from oracles import fresh_stream_statistics
+from oracles import empirical_power_reference, fresh_stream_statistics
 
 from gofpower.model import (
     AlternativeError,
@@ -17,6 +18,7 @@ from gofpower.model import (
     uniform_model,
     zero_perturbation,
 )
+from gofpower.cli import _MC_ALPHA_GRID
 from gofpower.montecarlo import _count_blocks, empirical_power, simulate_statistics
 from gofpower.quadform import cdf
 from gofpower.spectrum import compute_spectrum
@@ -49,13 +51,16 @@ class TestSimulateStatistics:
     def test_each_trial_matches_a_fresh_generator(self):
         # trial t is the draw of a fresh Philox keyed [seed mod 2^64, t],
         # bit for bit; 257 and 800 trials straddle the 256-row count blocks
+        # and 512 ends on a full one; 2^64 - 1 is the largest key and 2^64
+        # wraps to 0
         n = 5000
         for m in (2, 7, 300):
             model = ProbabilityModel(np.arange(m, 2 * m) / (m * (3 * m - 1) / 2))
             pert = Perturbation(np.linspace(-0.05, 0.05, m))
             p_a = model.probs + pert.entries / math.sqrt(n)
-            for seed, trials in itertools.product((5, -3, 2 ** 63 + 1),
-                                                  (1, 257, 800)):
+            for seed, trials in itertools.product(
+                    (5, -3, 2 ** 63 + 1, 2 ** 64 - 1, 2 ** 64),
+                    (1, 257, 512, 800)):
                 sim = simulate_statistics(model, pert, n, trials, seed)
                 expected = fresh_stream_statistics(seed, n, p_a, model.probs,
                                                    trials)
@@ -121,6 +126,30 @@ class TestEmpiricalPower:
         assert np.unique(sim.statistics).size == sim.trials
         for pt in empirical_power(sim, sim, [0.05, 0.3, 0.5, 0.9]):
             assert pt.power == pytest.approx(pt.alpha, abs=1.0 / 5000 + 1e-12)
+
+    @pytest.mark.parametrize("m, n, trials", [
+        (4, 100, 999),      # few distinct statistics: ties at the critical values
+        (10, 10_000, 200),  # (1 - alpha) * trials is an integer on the grid
+    ])
+    def test_matches_per_alpha_reference(self, m, n, trials):
+        model = uniform_model(m)
+        null = simulate_statistics(model, zero_perturbation(m), n, trials, seed=43)
+        alt = simulate_statistics(model, alternating_perturbation(m, 0.1), n,
+                                  trials, seed=44)
+        expected = empirical_power_reference(null.statistics, alt.statistics,
+                                             _MC_ALPHA_GRID)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            points = empirical_power(null, alt, _MC_ALPHA_GRID)
+        assert [(pt.alpha, pt.power, pt.std_error, pt.low_sample)
+                for pt in points] == expected
+        low = [alpha for alpha, _, _, flag in expected if flag]
+        assert len(low) == int(np.sum(_MC_ALPHA_GRID * trials < 10)) > 0
+        assert [str(w.message) for w in caught] == [
+            f"alpha={alpha:g} leaves under 10 tail trials; the empirical "
+            "quantile is unreliable" for alpha in low]
+        assert all(w.category is RuntimeWarning and w.filename == __file__
+                   for w in caught)
 
     def test_standard_error_annotation(self):
         sim = simulate_statistics(uniform_model(4), zero_perturbation(4),

@@ -127,6 +127,18 @@ class TestPowerCurve:
         assert len(row) == 5
         assert float(row[3]) == pytest.approx(1.0 - float(row[1]), abs=1e-16)
 
+    def test_csv_text_matches_numpy_scalar_formatting(self):
+        # write_csv formats Python floats; the text must be what formatting
+        # the curve's numpy scalars gives
+        _, model, pert = builtin_examples()[0]
+        curve = power_curve(model, pert, default_grid(0.005))
+        buf = io.StringIO()
+        curve.write_csv(buf)
+        rows = [f"{x:.17g},{f0:.17g},{fa:.17g},{1.0 - f0:.17g},{1.0 - fa:.17g}\n"
+                for x, f0, fa in zip(curve.x, curve.f0, curve.fa)]
+        assert isinstance(curve.x[0], np.float64)
+        assert buf.getvalue() == "x,F0,Fa,alpha,power\n" + "".join(rows)
+
 
 @pytest.fixture(scope="module")
 def example_curves():
