@@ -12,9 +12,12 @@ representations:
 
 Each integral bisects panels of the embedded 10-point Gauss / 21-point
 Kronrod pair on a window fixed before the first panel: the shifted
-contour's a-priori bound puts it past a negligible tail, and the
-real-axis form's tail is summed over half-periods by Wynn's epsilon
-algorithm.
+contour's a-priori bound puts it past a negligible tail, which its error
+estimate includes, and the real-axis form's tail is summed over
+half-periods by Wynn's epsilon algorithm.  The shifted contour's first
+panel starts halved toward 0, as bisection would halve it, until it is no
+wider than 1.5 times the distance of the integrand's pole from the axis,
+so that a point mostly meets tolerance on its first integrand call.
 """
 
 from __future__ import annotations
@@ -46,6 +49,9 @@ _MAX_ELEMENTS = 8192
 # real-axis tail: half-periods per round, and in all
 _TAIL_ROUND = 8
 _TAIL_PANELS = 64
+# shifted contour: its first panel is no wider than this many times the
+# distance of the integrand's pole from the axis
+_POLE_PANEL = 1.5
 
 
 class NumericalFailureError(ArithmeticError):
@@ -199,7 +205,7 @@ def _imhof_values(y, x, s2, cnt, z2, ell):
     expo_im = np.arctan(t) @ (0.5 * cnt) - y
     if z2.any():
         q = 1.0 / (1.0 + t2)
-        term_re = q - 1.0
+        term_re = -t2 * q
         if __debug__:
             # numerator factors bounded by 1: Re((1-v)/(2v)) <= 0
             assert np.all(term_re * (0.5 * z2) <= 1e-12)
@@ -224,9 +230,12 @@ def _eval_panels(f, edges, *args):
 
 
 @functools.lru_cache(maxsize=64)
-def _panels(upper: float, n: int) -> tuple:
-    """n equal panels (a, b) over [0, upper]; a CDF grid shares a few."""
+def _panels(upper: float, n: int, first: float = math.inf) -> tuple:
+    """n equal panels (a, b) over [0, upper], the first halved toward 0, as
+    bisection would, until no wider than ``first``; a CDF grid shares a few."""
     edges = np.linspace(0.0, upper, n + 1).tolist()
+    while edges[1] > first:
+        edges.insert(1, 0.5 * edges[1])
     return tuple(zip(edges[:-1], edges[1:]))
 
 
@@ -245,8 +254,8 @@ def _epsilon_step(diag: list, partial: float) -> list:
     return new
 
 
-def _integral(cfg: QuadratureConfig, upper: float, panels: int,
-              half_period: float = 0.0):
+def _integral(cfg: QuadratureConfig, head: tuple, half_period: float = 0.0,
+              tail_err: float = 0.0):
     """The adaptive scheme of ``adaptive_integrate`` for one integral.
 
     A generator: each ``yield`` hands out a sequence of panels (a, b) and
@@ -254,11 +263,12 @@ def _integral(cfg: QuadratureConfig, upper: float, panels: int,
     returns the IntegralResult.  It decides what to evaluate from those
     numbers alone, not from what else is evaluated alongside them.
 
-    With a ``half_period``, the integral runs on past ``upper`` in panels
-    that wide, _TAIL_ROUND at a time, whose partial sums are extrapolated
-    by Wynn's epsilon algorithm (QUADPACK's dqawf) until the last three
-    extrapolations agree to a tenth of the tolerance, or _TAIL_PANELS
-    have been spent.
+    It starts from the ``head`` panels, which end at ``upper``, with
+    ``tail_err`` bounding what lies past them.  With a ``half_period``, the
+    integral runs on past ``upper`` in panels that wide, _TAIL_ROUND at a
+    time, whose partial sums are extrapolated by Wynn's epsilon algorithm
+    (QUADPACK's dqawf) until the last three extrapolations agree to a
+    tenth of the tolerance, or _TAIL_PANELS have been spent.
     """
     abs_tol, rel_tol = cfg.abs_tol, cfg.rel_tol
     heap: list = []
@@ -270,14 +280,14 @@ def _integral(cfg: QuadratureConfig, upper: float, panels: int,
         edges = (upper + half_period * np.arange(k, k + _TAIL_ROUND + 1)).tolist()
         return list(zip(edges[:-1], edges[1:]))
 
-    head = _panels(upper, panels)
+    upper = head[-1][1]
     pairs = [*head, *tail_round()] if half_period else head
     vals, errs = yield pairs
     nodes = PANEL_SIZE * len(pairs)
     for (a, b), v, e in zip(head, vals.tolist(), errs.tolist()):
         heapq.heappush(heap, (-e, next(order), a, b, v, e))
     n, diag = len(head), []
-    partial = tail = tail_err = 0.0
+    partial = tail = 0.0
     tail_ok = True
     while half_period:
         tail_err += math.fsum(errs[n:].tolist())
@@ -378,7 +388,7 @@ def adaptive_integrate(f: Callable, cfg: QuadratureConfig | None = None, *,
     def values(ys):
         return np.asarray(f(ys.ravel()), dtype=float).reshape(ys.shape)
 
-    return _drive([_integral(cfg, upper, initial_panels)],
+    return _drive([_integral(cfg, _panels(upper, initial_panels))],
                   lambda edges, _: _eval_panels(values, edges))[0]
 
 
@@ -438,17 +448,21 @@ def cdf_many(xs, spec: "Spectrum", cfg: QuadratureConfig | None = None,
     positive = np.array([x for x in xs if x > 0.0])
     if shifted:
         # the asserted bounds of _shifted_values give |f(y)| <= rhs e^{5/4-y}
-        # / (pi (y - 1/2)), so past this Y the tail is below 0.1 abs_tol;
-        # log(rhs) comes from its exponent, finite where rhs overflows
+        # / (pi (y - 1/2)), so the tail past Y is below tail_err, which this Y
+        # puts below 0.1 abs_tol; log(rhs) comes from its exponent, finite
+        # where rhs overflows
         log_rhs = 0.5 * math.sqrt(1.0 + 1.0 / ell) * float(z2.sum())
         upper = max(1.5, 1.25 + log_rhs - math.log(0.1 * math.pi * cfg.abs_tol))
-        # a few oscillation periods (wavelength ~ 2 pi / sqrt(ell)) per panel
+        tail_err = math.exp(1.25 + log_rhs - upper) / (math.pi * (upper - 0.5))
+        # a few oscillation periods (wavelength ~ 2 pi / sqrt(ell)) per panel;
+        # the pole of 1/d lies sqrt(ell)/(1 + ell) off the axis
         n0 = max(4, math.ceil(upper * math.sqrt(ell) / (4.0 * math.pi)))
-        integrals = (_integral(cfg, upper, n0) for _ in positive)
+        head = _panels(upper, n0, _POLE_PANEL * math.sqrt(ell) / (1.0 + ell))
+        integrals = (_integral(cfg, head, tail_err=tail_err) for _ in positive)
     else:
         heads, halves = _imhof_windows(positive, s2, cnt, z2, ell)
         # one head panel per 2 pi: the phase runs at about unit speed
-        integrals = (_integral(cfg, y, math.ceil(y / (2.0 * math.pi)), h)
+        integrals = (_integral(cfg, _panels(y, math.ceil(y / (2.0 * math.pi))), h)
                      for y, h in zip(heads, halves))
     step = max(1, _MAX_ELEMENTS // (PANEL_SIZE * s2.size))
 

@@ -19,7 +19,8 @@ def _py(power: float) -> float:
 
 def _polyline(alpha, power, color: str, width: float = 1.5,
               dash: str | None = None) -> str:
-    pts = " ".join(f"{_px(a):.2f},{_py(p):.2f}" for a, p in zip(alpha, power))
+    pts = " ".join(f"{_px(a):.2f},{_py(p):.2f}" for a, p in
+                   zip(np.asarray(alpha).tolist(), np.asarray(power).tolist()))
     dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
     return (f'<polyline fill="none" stroke="{color}" stroke-width="{width}"'
             f'{dash_attr} points="{pts}"/>')

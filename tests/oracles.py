@@ -381,12 +381,28 @@ SEEDED_CDF_REFERENCES = {
               2.5617006999869587],
         x=4.7030114179832366e-05,
         cdf=0.84278173843834213712),
+    # the nulls of the last two at the same x, the shifted contour: all but
+    # chi-square on one degree of freedom, with ell = 3.  The head's panel
+    # estimates come to 2e-14 here, below the window's tail, which an
+    # estimate that holds must carry
+    "seed18-draw10-null": dict(
+        sigma=[0.4176860565007911, 5.230855396105257e-05, 6.844229888657621e-08],
+        zeta=[0.0] * 3,
+        x=0.34892328906414505,
+        cdf=0.84270079457814547457),
+    "seed18-draw11-null": dict(
+        sigma=[0.0048473408576470995, 0.00013543711429442166,
+               3.949734672028803e-08],
+        zeta=[0.0] * 3,
+        x=4.7030114179832366e-05,
+        cdf=0.84278174172769752758),
 }
 
 # r0-model85 (seed 1, round 0): m = 26, stability_rhs 24.1, the shifted
-# contour.  At this x its 10/21 Kronrod-Gauss head estimate comes out small
-# by chance.  F(x) is a 30-digit mpmath Imhof integral as above, with Y =
-# 1e4 and 2e4 (in u = 2y/x) agreeing to 24 digits.
+# contour.  At this x its 10/21 Kronrod-Gauss head estimate once came out
+# small by chance, while the first head panel held the integrand's pole.
+# F(x) is a 30-digit mpmath Imhof integral as above, with Y = 1e4 and 2e4
+# (in u = 2y/x) agreeing to 24 digits.
 HEAD_ESTIMATE_MISS = dict(
     sigma=[0.37025745482629996] * 6 + [0.10065437969881758]
     + [0.06982198317498843] * 7 + [0.02057055453045713]
@@ -399,6 +415,48 @@ HEAD_ESTIMATE_MISS = dict(
           0.0],
     x=0.01235291864413407,
     cdf=7.5757218728838282563e-09)
+
+# F of HEAD_ESTIMATE_MISS's model at 12 nodes of the 513-point sqrt-x
+# Chebyshev grid on default_grid(0.005) times its null mean (nodes 0, 64,
+# ..., 512, with 432 and the old miss, 463), x -> F(x), from
+# tests/regen_cdf_refs.py as above.
+HEAD_ESTIMATE_GRID = {
+    0.0043412634321065005: 1.7955283531301977749e-12,
+    0.007271460304578793: 1.327008157106368735e-10,
+    0.01235291864413407: 7.5757218728838282563e-09,
+    0.020358067096621784: 2.4680696294249176148e-07,
+    0.03422903741480889: 6.5174766792828416643e-06,
+    0.13058892427365237: 4.5054032594162068532e-03,
+    0.4742559128279644: 0.20696755730299284973,
+    1.1550425757259333: 0.76800128181677627789,
+    2.1339241742365305: 0.98140084698752559392,
+    3.197255999221585: 0.99919566607600613714,
+    4.027151692829357: 0.99993993310613764812,
+    4.3412634321065005: 0.9999779805996699582,
+}
+
+# poisson:3 with alternating:0.1, whose summed zeta^2 = 2.1e7 sits on
+# sigma^2 = 5e-10 (test_tiny_variance_with_large_shift): its spectrum as
+# compute_spectrum returns it, repr-exact, and x -> F(x) from
+# tests/regen_cdf_refs.py as above.
+TINY_VARIANCE = dict(
+    sigma=[0.4733305479845852, 0.43616351471865616, 0.39642138694635526,
+           0.3346513335458131, 0.25027844855993486, 0.22380809752361594,
+           0.1548795310256172, 0.09493179366535186, 0.054635832395999055,
+           0.02981216176658684, 0.015513152668677695, 0.007731822232126626,
+           0.0037038476056429877, 0.0017103404768898966,
+           0.0007632353911216317, 0.0003298586237861148,
+           0.0001383318352136531, 5.6385963623240416e-05,
+           2.237016088911527e-05],
+    zeta=[0.29877927135587107, -0.061724733768273754, 0.35704115186838287,
+          0.18292246838885878, -0.5930884421577747, -0.015528346096791271,
+          -0.731951006276743, 0.9867312309215903, -1.9435961647376008,
+          3.215082226740856, -6.752139655424499, 12.47026109906813,
+          -28.06821827749145, 56.60888959896081, -135.4851352781142,
+          294.51933526527836, -744.6449561689371, 1726.103565427776,
+          -4622.971779776344],
+    cdf={0.5: 0.13154242402918655023, 1.0: 0.56532763880041227965,
+         1.5: 0.83035272571443952377, 2.0: 0.93971222219563411415})
 
 # Converged values of the Imhof route that miss these references by 1.5 to
 # 6 times their estimates; a strict xfail in tests/test_quadform.py pins

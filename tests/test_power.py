@@ -24,7 +24,7 @@ from gofpower.model import (
     uniform_model,
     zero_perturbation,
 )
-from gofpower import power
+from gofpower import power, svgplot
 from gofpower.power import (
     _cdf_on_grid,
     asymptotic_power,
@@ -138,6 +138,19 @@ class TestPowerCurve:
                 for x, f0, fa in zip(curve.x, curve.f0, curve.fa)]
         assert isinstance(curve.x[0], np.float64)
         assert buf.getvalue() == "x,F0,Fa,alpha,power\n" + "".join(rows)
+
+    def test_svg_text_matches_numpy_scalar_formatting(self):
+        # the polyline formats Python floats; the text must be what
+        # formatting the curve's numpy scalars gives
+        _, model, pert = builtin_examples()[0]
+        curve = power_curve(model, pert, default_grid(0.005))
+        buf = io.StringIO()
+        svgplot.power_overlay_svg(buf, curve.alpha, curve.power, title="example1")
+        pts = " ".join(f"{svgplot._px(a):.2f},{svgplot._py(p):.2f}"
+                       for a, p in zip(curve.alpha, curve.power))
+        assert isinstance(curve.alpha[0], np.float64)
+        assert buf.getvalue().splitlines()[-2] == (
+            f'<polyline fill="none" stroke="black" stroke-width="1.5" points="{pts}"/>')
 
 
 @pytest.fixture(scope="module")

@@ -12,9 +12,11 @@ import numpy as np
 import pytest
 
 from oracles import (
+    HEAD_ESTIMATE_GRID,
     HEAD_ESTIMATE_MISS,
     IMHOF_TAIL_MISSES,
     SEEDED_CDF_REFERENCES,
+    TINY_VARIANCE,
     chi2_cdf,
 )
 
@@ -25,6 +27,7 @@ from gofpower.model import (
     perturbation_from_spec,
     uniform_model,
 )
+from gofpower import quadform
 from gofpower.power import asymptotic_power, default_grid
 from gofpower.quadform import (
     Method,
@@ -237,21 +240,23 @@ class TestIntegrandImhof:
         vals = _imhof_values(ys[None, :], np.array([1e12]), *spec_unit.groups)[0]
         assert np.allclose(vals, -np.sin(ys) / (math.pi * ys), atol=1e-9)
 
-    @pytest.mark.parametrize("x, head", [
-        (0.5, 0.13154242399888022), (1.0, 0.5653276388108023),
-        (1.5, 0.8303527257283085), (2.0, 0.9397122222116423)])
-    def test_tiny_variance_with_large_shift(self, x, head):
+    @pytest.mark.parametrize("x, want", list(TINY_VARIANCE["cdf"].items()))
+    def test_tiny_variance_with_large_shift(self, x, want):
         # poisson:3 with alternating:0.1 puts summed zeta^2 = 2.1e7 on
         # sigma^2 = 5e-10, so the phase slope stays near -0.6 far out; the
-        # head rule must not wait for -1.  ``head`` is an independent
-        # quadrature's value at the same point, which took up to 3,213 nodes
+        # head rule must not wait for -1, nor spend more than the 3,213 nodes
+        # an independent quadrature took.  ``want`` is a 30-digit reference,
+        # which 1 - 1/(1 + t^2) formed as a difference missed by 13x its
+        # estimate at x = 1
         model = model_from_spec("poisson:3")
         spec = compute_spectrum(model, perturbation_from_spec("alternating:0.1", model.m))
+        np.testing.assert_allclose(spec.sigma, TINY_VARIANCE["sigma"], rtol=1e-13)
+        np.testing.assert_allclose(spec.zeta, TINY_VARIANCE["zeta"], rtol=1e-13)
         ev = cdf(x, spec)
         assert ev.method is Method.IMHOF
         assert ev.converged
         assert ev.nodes_used <= 3213
-        assert abs(ev.value - head) <= ev.abs_error_estimate
+        assert abs(ev.value - want) <= ev.abs_error_estimate
 
 
 class TestCdf:
@@ -441,6 +446,30 @@ class TestCdfMany:
             cdf_many([1.0, math.nan], spec61)
 
 
+@pytest.mark.parametrize("case", range(4))
+def test_shifted_point_closes_in_its_head_round(case, monkeypatch):
+    # the head's first panel is graded toward the pole of 1/d, so a lone
+    # point meets tolerance on its first integrand call, with no bisection
+    _, model, pert = builtin_examples()[case]
+    alt = compute_spectrum(model, pert)
+    null = alt.null()
+    calls = []
+    real = quadform._eval_panels
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(quadform, "_eval_panels", counting)
+    # example 4's alternative takes the real-axis route
+    for spec in (null, alt) if case < 3 else (null,):
+        for c in (0.5, 1.0, 2.0):
+            calls.clear()
+            ev = cdf(c * null.mean(), spec)
+            assert ev.method is Method.SHIFTED_CONTOUR and ev.converged
+            assert len(calls) == 1
+
+
 def test_error_estimate_holds_on_seeded_spectra():
     # each value is converged and within its estimate of a 30-digit
     # reference; the real-axis ones rest on the extrapolated tail
@@ -452,17 +481,24 @@ def test_error_estimate_holds_on_seeded_spectra():
     assert all(ratio <= 1.0 for ratio in misses.values()), misses
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "r0-model85 (shifted contour, 231 nodes) at this x: the 10/21 "
-    "Kronrod-Gauss difference of the head comes out small by chance, so the "
-    "value misses its reference by 5.6e-9, 8x its estimate; no tail is "
-    "involved, see the reference-set item on ROADMAP.md"))
 def test_head_estimate_holds_on_r0_model85():
+    # the head's first panel once held the pole of 1/d, and bisection
+    # stopped on a 10/21 difference that came out small by chance: the value
+    # missed by 5.6e-9, 8x its estimate
     ref = HEAD_ESTIMATE_MISS
     ev = cdf(ref["x"], Spectrum(ref["sigma"], ref["zeta"]))
     assert ev.method is Method.SHIFTED_CONTOUR
     assert ev.converged
     assert abs(ev.value - ref["cdf"]) <= ev.abs_error_estimate
+
+
+@pytest.mark.parametrize("x", list(HEAD_ESTIMATE_GRID))
+def test_head_estimate_holds_on_r0_model85_grid(x):
+    # the miss did not move to another x of the curve interpolant's grid
+    ref = HEAD_ESTIMATE_MISS
+    ev = cdf(x, Spectrum(ref["sigma"], ref["zeta"]), method=Method.SHIFTED_CONTOUR)
+    assert ev.converged
+    assert abs(ev.value - HEAD_ESTIMATE_GRID[x]) <= ev.abs_error_estimate
 
 
 @pytest.mark.xfail(strict=True, reason=(
