@@ -15,6 +15,14 @@ equation sum_g c_g / (r_g - lambda) = 0, one between each pair of
 consecutive distinct r_g, with eigenvectors proportional to 1/(r - lambda)
 (Bunch, Nielsen & Sorensen 1978, Numer. Math. 31:31).
 
+The roots are found by the "middle way" rational iteration of LAPACK's
+dlaed4 (Li 1993, LAPACK Working Note 89; Gu & Eisenstat 1995, SIAM J.
+Matrix Anal. Appl. 16:172): each step goes to the root of a two-pole model
+of the secular function, inside a sign bracket that bisects a step past its
+far end and probes just inside the near one.  It stops when every bracket
+is two adjacent doubles, as bisection did.  Gaps are solved a block of rows
+at a time, so memory is O(m) per row of the block, not O(m^2).
+
 Every secular root lies strictly between two poles, and every tied
 eigenvalue is a pole, so each nonzero eigenvalue is at least 1/max p0 > 0:
 every p0 > 0 has a limit law, whatever its ratio max p0 / min p0.
@@ -36,6 +44,8 @@ __all__ = ["Spectrum", "compute_spectrum"]
 _EXP_OVERFLOW = 700.0
 # relative gap under which two variances are treated as one eigenvalue group
 _GROUP_RTOL = 1e-12
+# secular gaps solved together: the working arrays are _BLOCK x (distinct p0)
+_BLOCK = 128
 
 
 def _groups(sigma, zeta):
@@ -126,58 +136,120 @@ class Spectrum:
         }, **kwargs)
 
 
+def _secular_roots(poles, cnt, rows):
+    """Roots of f(lambda) = sum_g cnt_g / (poles_g - lambda) in the gaps
+    ``rows`` (a slice of range(poles.size - 1)) of the ascending ``poles``:
+    (pole, tau, sweeps), each root being pole + tau from the nearer end of
+    its gap, and sweeps the number of evaluations of f over the rows.
+
+    f is summed row by row, so its sign at a point does not depend on the
+    other rows, as a BLAS matrix-vector product's would.
+    """
+    g = np.arange(poles.size - 1)[rows]
+    left = np.where(np.arange(poles.size) <= g[:, None], cnt, 0.0)
+    right = cnt - left
+    half = 0.5 * (poles[g + 1] - poles[g])
+    buf = np.empty_like(left)   # reused: fresh arrays this size page-fault
+
+    def sweep(delta, t, dl, dr):
+        # f at t, and the step to the root of c + s_L/(dl - x) + s_R/(dr - x),
+        # the model with f's value and its derivative parts from the poles
+        # left and right of the gap at t; the root in (dl, dr) is q/c or b/q
+        inv = np.subtract(delta, t[:, None], out=buf)
+        np.divide(1.0, inv, out=inv)
+        f = np.einsum("ij,j->i", inv, cnt)
+        inv *= inv
+        dpsi = np.einsum("ij,ij->i", inv, left)
+        dphi = np.einsum("ij,ij->i", inv, right)
+        dl, dr = dl - t, dr - t
+        c = f - dl * dpsi - dr * dphi
+        a = (dl + dr) * f - dl * dr * (dpsi + dphi)
+        b = dl * dr * f
+        q = 0.5 * (a + np.copysign(np.sqrt(np.abs(a * a - 4.0 * b * c)), a))
+        return f, np.where(a > 0.0, b / q, q / c)
+
+    # a point next to a pole can overflow f's parts into a NaN or infinite
+    # step, which the loop below replaces by bisection
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        delta = poles - poles[g, None]
+        f, eta = sweep(delta, half, 0.0, 2.0 * half)
+        upper = f < 0.0
+        pole = np.where(upper, poles[g + 1], poles[g])
+        np.subtract(poles, pole[:, None], out=delta)
+        dl, dr = poles[g] - pole, poles[g + 1] - pole
+        lo = np.where(upper, -half, 0.0)
+        hi = np.where(upper, 0.0, half)
+        t = np.where(upper, -half, half) + eta
+        above = ~upper   # the midpoint is hi where f(midpoint) >= 0
+        sweeps = 1
+        while True:
+            lo_in, hi_in = np.nextafter(lo, hi), np.nextafter(hi, lo)
+            live = lo_in < hi
+            if not live.any():
+                return pole, np.where(upper, lo, hi), sweeps
+            # the step left the end t became: past the other end, or NaN or
+            # infinite, it bisects; back at or past its own, it probes inside
+            far = np.where(above, t <= lo, t >= hi)
+            t = np.where(np.isfinite(t) & ~far, t, 0.5 * (lo + hi))
+            t = np.minimum(np.maximum(t, lo_in), hi_in)
+            f, eta = sweep(delta, t, dl, dr)
+            sweeps += 1
+            above = f > 0.0
+            hi = np.where(live & above, t, hi)
+            lo = np.where(live & ~above, t, lo)
+            t = t + eta
+
+
 def eigendecompose(p0, a):
     """Nonzero eigenvalues of B = H diag(1/p0) H, ascending, and the
     components eta of ``a`` along matching unit eigenvectors.
 
-    Each secular root is bisected on tau = lambda - pole, from the nearer
-    pole of its gap, until the bracket is two adjacent doubles; forming
-    r - lambda as (r - pole) - tau keeps the eigenvector accurate next to a
-    pole.  Eigenvectors are signed so that their first entry is positive.
+    f(lambda) = sum_g c_g/(r_g - lambda) rises from -inf to +inf across each
+    gap, so its sign at the midpoint names the nearer pole, and the root is
+    found on tau = lambda - pole; forming r - lambda as (r - pole) - tau
+    keeps the eigenvector accurate next to a pole.  Each sweep narrows a
+    sign bracket [lo, hi] by f at t, then steps t to the root of the model
+    c + s_L/(r_L - lambda) + s_R/(r_R - lambda) with f's value and its
+    derivative parts from each side of the gap at t (Li 1993; Gu &
+    Eisenstat 1995).  That root lies on the side the sign of f names, so a
+    step back at or past the end that t became is rounding next to the
+    root: it probes the double just inside that end.  A step at or past the
+    other end, or a NaN or infinite one, bisects.  When every bracket is two
+    adjacent doubles, tau is the end away from the pole, as bisection left
+    it.  The gaps, eigenvectors included, are solved _BLOCK rows at a time.
+    Eigenvectors are signed so that their first entry is positive.
     Within a tied group the eigenbasis is free: one vector is taken along
     the group's part of ``a``, so the group's first eta is |a_G - mean(a_G)|
     and the others are 0.
     """
     p0 = np.asarray(p0, dtype=float)
     a = np.asarray(a, dtype=float)
-    # a NaN pole would keep the bisection below live for ever
+    # a NaN pole would keep the secular iteration below live for ever
     if p0.ndim != 1 or p0.shape != a.shape or not np.all((p0 > 0) & np.isfinite(p0)):
         raise ValueError("p0 must be finite and positive, with a of the same length")
     r = 1.0 / p0
     poles, which, cnt = np.unique(r, return_inverse=True, return_counts=True)
 
     # tied groups: r_g itself, c_g - 1 times
-    lam_tied = np.repeat(poles, cnt - 1)
-    eta_tied = np.zeros(lam_tied.size)
-    spread = np.bincount(which, (a - (np.bincount(which, a) / cnt)[which]) ** 2)
+    lam = [np.repeat(poles, cnt - 1)]
+    eta = [np.zeros(lam[0].size)]
+    sum_a = np.bincount(which, a)
+    spread = np.bincount(which, (a - (sum_a / cnt)[which]) ** 2)
     tied = cnt > 1
-    eta_tied[(np.cumsum(cnt - 1) - (cnt - 1))[tied]] = np.sqrt(spread[tied])
+    eta[0][(np.cumsum(cnt - 1) - (cnt - 1))[tied]] = np.sqrt(spread[tied])
 
-    # secular roots: f(lambda) = sum_g c_g/(r_g - lambda) rises from -inf to
-    # +inf across each gap, so its sign at the midpoint names the nearer pole
-    half = 0.5 * (poles[1:] - poles[:-1])
-    upper = (1.0 / ((poles - poles[:-1, None]) - half[:, None])) @ cnt < 0.0
-    pole = np.where(upper, poles[1:], poles[:-1])
-    delta = poles - pole[:, None]
-    lo = np.where(upper, -half, 0.0)
-    hi = np.where(upper, 0.0, half)
-    while True:
-        mid = 0.5 * (lo + hi)
-        live = np.flatnonzero((mid != lo) & (mid != hi))
-        if live.size == 0:
-            break
-        t = mid[live]
-        above = (1.0 / (delta[live] - t[:, None])) @ cnt > 0.0
-        hi[live] = np.where(above, t, hi[live])
-        lo[live] = np.where(above, lo[live], t)
-    tau = np.where(upper, lo, hi)   # the end away from the pole: never 0
-    v = tau[:, None] / (delta - tau[:, None])   # tau/(r_g - lambda), |v| <= 1
-    v *= np.sign(v[:, which[0]])[:, None]
-    eta_sec = (v @ np.bincount(which, a)) / np.sqrt((v * v) @ cnt)
+    weight = cnt.astype(float)
+    for start in range(0, poles.size - 1, _BLOCK):
+        pole, tau, _ = _secular_roots(poles, weight, slice(start, start + _BLOCK))
+        # tau/(r_g - lambda), |v| <= 1; tau, the end away from the pole, is never 0
+        v = tau[:, None] / ((poles - pole[:, None]) - tau[:, None])
+        v *= np.sign(v[:, which[0]])[:, None]
+        lam.append(pole + tau)
+        eta.append((v @ sum_a) / np.sqrt((v * v) @ weight))
 
-    lam = np.concatenate([lam_tied, pole + tau])
+    lam, eta = np.concatenate(lam), np.concatenate(eta)
     order = np.argsort(lam, kind="stable")
-    return lam[order], np.concatenate([eta_tied, eta_sec])[order]
+    return lam[order], eta[order]
 
 
 def compute_spectrum(model: ProbabilityModel, pert: Perturbation) -> Spectrum:

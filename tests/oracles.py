@@ -163,6 +163,44 @@ def secular_spectrum(p0, a, digits: int = 50):
         return sorted(out)
 
 
+def bisect_secular_roots(p0):
+    """Nonzero eigenvalues of B = H diag(1/p0) H, ascending, by bisection.
+
+    A value r taken by c entries of 1/p0 is an eigenvalue c - 1 times.  Each
+    gap between consecutive distinct r holds one root of f(lambda) =
+    sum_g c_g / (r_g - lambda), which rises from -inf to +inf across it: the
+    sign of f at the midpoint names the nearer pole, and the root is bisected
+    on tau = lambda - pole until the bracket is two adjacent doubles, then
+    taken at the end away from the pole.  One sweep over the gaps per halving,
+    54 to 58 of them, in double precision.  f is summed row by row
+    (``einsum``): a BLAS matrix-vector product rounds a row differently with
+    the number of rows it is given, which would tie the double where f
+    changes sign to the order of the evaluations.
+    """
+    poles, cnt = np.unique(1.0 / np.asarray(p0, dtype=float), return_counts=True)
+    weight = cnt.astype(float)
+
+    def f(delta, t):
+        return np.einsum("ij,j->i", 1.0 / (delta - t[:, None]), weight)
+
+    half = 0.5 * (poles[1:] - poles[:-1])
+    upper = f(poles - poles[:-1, None], half) < 0.0
+    pole = np.where(upper, poles[1:], poles[:-1])
+    delta = poles - pole[:, None]
+    lo = np.where(upper, -half, 0.0)
+    hi = np.where(upper, 0.0, half)
+    while True:
+        mid = 0.5 * (lo + hi)
+        live = np.flatnonzero((mid != lo) & (mid != hi))
+        if live.size == 0:
+            break
+        above = f(delta[live], mid[live]) > 0.0
+        hi[live] = np.where(above, mid[live], hi[live])
+        lo[live] = np.where(above, lo[live], mid[live])
+    return np.sort(np.concatenate([np.repeat(poles, cnt - 1),
+                                   pole + np.where(upper, lo, hi)]))
+
+
 def fresh_stream_statistics(seed: int, n: int, p_a, p0, trials: int):
     """X_n per trial, trial t drawn from a fresh Philox keyed [seed mod 2^64, t].
 

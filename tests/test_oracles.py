@@ -1,10 +1,18 @@
 """Self-checks of the reference oracles against scipy and known constants."""
 
+import decimal
+
 import numpy as np
 import pytest
 import scipy.stats as st
 
-from oracles import chi2_cdf, chi2_quantile, noncentral_chi2_cdf, secular_spectrum
+from oracles import (
+    bisect_secular_roots,
+    chi2_cdf,
+    chi2_quantile,
+    noncentral_chi2_cdf,
+    secular_spectrum,
+)
 
 
 def test_chi2_known_values():
@@ -55,12 +63,15 @@ def test_edge_cases():
         chi2_quantile(3, 1.5)
 
 
-@pytest.mark.parametrize("p0", [
+SECULAR_P0 = [
     [0.1, 0.2, 0.3, 0.4],
     [0.2, 0.2, 0.2, 0.1, 0.3],                  # a tied group of three
     [0.25, 0.25 * (1 + 1e-14), 0.3, 0.2 - 0.25e-14],  # near-tie
     [1e-9, 0.5, 0.25, 0.25 - 1e-9],             # ratio 5e8 and a near-tie
-])
+]
+
+
+@pytest.mark.parametrize("p0", SECULAR_P0)
 def test_secular_spectrum_against_mpmath_eigsy(p0):
     mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(len(p0))
@@ -86,3 +97,15 @@ def test_secular_spectrum_against_mpmath_eigsy(p0):
             assert abs(mpmath.mpf(str(zeta2)) - want_zeta2) <= (
                 mpmath.mpf(10) ** -30 * (1 + want_zeta2))
         assert k == m - 1
+
+
+@pytest.mark.parametrize("p0", SECULAR_P0)
+def test_bisect_secular_roots_against_decimal_oracle(p0):
+    lam = bisect_secular_roots(p0)
+    want = [ref for ref, mult, _ in secular_spectrum(p0, np.zeros(len(p0)))
+            for _ in range(mult)]
+    assert lam.size == len(want) == len(p0) - 1
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        for got, ref in zip(lam, want):
+            assert abs(decimal.Decimal(float(got)) / ref - 1) <= 2 * np.finfo(float).eps

@@ -3,11 +3,12 @@
 import decimal
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from oracles import secular_spectrum
+from oracles import bisect_secular_roots, secular_spectrum
 
 from gofpower.model import (
     DimensionError,
@@ -19,7 +20,9 @@ from gofpower.model import (
     zero_perturbation,
 )
 from gofpower.spectrum import (
+    _BLOCK,
     Spectrum,
+    _secular_roots,
     compute_spectrum,
     eigendecompose,
 )
@@ -68,6 +71,45 @@ def secular_case(seed, kind, ratio):
 SECULAR_CASES = [(seed, kind, ratio)
                  for seed, kind in enumerate(("distinct", "tied", "near-tied"))
                  for ratio in (1.0, 1.001, 10.0, 1e3, 1e6, 1e9, 1e12, 1e15)]
+
+
+def sweep_shaped_p0(rng):
+    """p0 shaped like the benchmark's model-sweep: m from 5 to 200, uniform,
+    tied at 2 to 5 levels, or distinct, with max/min p0 up to 1e8."""
+    m = int(rng.integers(5, 201))
+    kind = ("uniform", "tied", "distinct")[int(rng.integers(3))]
+    span = rng.uniform(0.0, 8.0)
+    if kind == "uniform":
+        w = np.ones(m)
+    elif kind == "tied":
+        levels = int(rng.integers(2, 6))
+        u = np.concatenate([[0.0, 1.0], rng.random(levels - 2)])
+        which = np.concatenate([np.arange(levels), rng.integers(0, levels, m - levels)])
+        w = 10.0 ** (span * u[rng.permutation(which)])
+    else:
+        w = 10.0 ** (span * rng.permutation(np.concatenate([[0.0, 1.0], rng.random(m - 2)])))
+    return w / w.sum()
+
+
+def distinct_p0(m, ratio, seed):
+    rng = np.random.default_rng(seed)
+    w = ratio ** rng.permutation(np.concatenate([[0.0, 1.0], rng.random(m - 2)]))
+    return w / w.sum()
+
+
+def reference_p0():
+    """(name, p0) for the bisection comparisons: the SECULAR_CASES models,
+    200 model-sweep-shaped ones and one distinct model at m = 1,000."""
+    out = [(f"secular-{seed}-{kind}-{ratio:g}", secular_case(seed, kind, ratio)[0].probs)
+           for seed, kind, ratio in SECULAR_CASES]
+    rng = np.random.default_rng(2022)
+    out += [(f"sweep-{k}", sweep_shaped_p0(rng)) for k in range(200)]
+    out.append(("distinct-1000", distinct_p0(1000, 1e4, 1000)))
+    return out
+
+
+def within_ulp(got, want, ulp):
+    return np.abs(got - want) <= ulp * np.spacing(np.abs(want))
 
 
 def oracle_runs(model, pert):
@@ -192,6 +234,58 @@ class TestEigendecompose:
         spec = compute_spectrum(ProbabilityModel(p0), Perturbation(a))
         assert spec.zeta[3] == pytest.approx(eta[3] * math.sqrt(10.0), rel=1e-15)
         assert spec.zeta[4] == 0.0
+
+
+class TestSecularIteration:
+    """The rational-interpolation secular solver against the bisection it
+    replaced (``oracles.bisect_secular_roots``)."""
+
+    @staticmethod
+    def f(poles, weight, pole, t):
+        # f(pole + t) = sum_g c_g / ((r_g - pole) - t), summed row by row
+        return np.einsum("ij,j->i", 1.0 / ((poles - pole[:, None]) - t[:, None]), weight)
+
+    def test_sigma2_within_2_ulp_of_bisection(self):
+        for name, p0 in reference_p0():
+            s2 = compute_spectrum(ProbabilityModel(p0), zero_perturbation(p0.size)).sigma ** 2
+            want = (1.0 / np.sqrt(bisect_secular_roots(p0))) ** 2
+            assert np.all(within_ulp(s2, want, 2)), name
+
+    def test_sweeps_and_sign_bracket(self):
+        # at most 12 sweeps (bisection takes 54 to 58), and each root is
+        # left as bisection leaves it: f changes sign between tau and the
+        # double next to it on the pole's side, and the root lies between
+        for name, p0 in reference_p0():
+            poles, cnt = np.unique(1.0 / p0, return_counts=True)
+            if poles.size < 2:
+                continue
+            weight = cnt.astype(float)
+            pole, tau, sweeps = _secular_roots(poles, weight, slice(None))
+            assert sweeps <= 12, (name, sweeps)
+            at_tau = self.f(poles, weight, pole, tau) > 0.0
+            inside = self.f(poles, weight, pole, np.nextafter(tau, 0.0)) > 0.0
+            assert np.all(at_tau != inside), name
+            assert np.all(at_tau == (tau > 0.0)), name
+
+    @pytest.mark.parametrize("p0", [
+        uniform_model(7).probs,                                  # no secular row
+        np.array([0.3, 0.7]),                                    # m = 2
+        np.array([0.1] * 8 + [0.2]),                             # one distinct value
+        np.array([1.0, 1.0 + 1e-14, 1e15, 1e15 * (1.0 + 2e-14),  # near-tied poles
+                  1e7, 1e7 * (1.0 + 3e-14)]),                    # at ratio 1e15
+        distinct_p0(_BLOCK + 2, 1e3, 7),                         # a block plus one row
+    ], ids=["uniform", "m2", "one-distinct", "near-tied-1e15", "block-plus-one"])
+    def test_edge_shapes_match_bisection(self, p0):
+        p0 = p0 / p0.sum()
+        rng = np.random.default_rng(p0.size)
+        a = rng.normal(size=p0.size)
+        a -= a.mean()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            spec = compute_spectrum(ProbabilityModel(p0), Perturbation(a))
+        assert np.all(np.isfinite(spec.sigma)) and np.all(np.isfinite(spec.zeta))
+        want = (1.0 / np.sqrt(bisect_secular_roots(p0))) ** 2
+        assert np.all(within_ulp(spec.sigma ** 2, want, 1))
 
 
 class TestComputeSpectrum:
