@@ -39,7 +39,6 @@ from .power import (
     CurveMeta,
     PowerCurve,
     asymptotic_power,
-    power_at,
     power_curve,
     pvalue,
 )

@@ -37,11 +37,6 @@ _MC_ALPHA_GRID = np.arange(1, 200) / 200.0
 
 def _add_quad_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--abs-tol", type=float, default=DEFAULT_CONFIG.abs_tol)
-    p.add_argument("--rel-tol", type=float, default=DEFAULT_CONFIG.rel_tol)
-    p.add_argument("--stability-threshold", type=float,
-                   default=DEFAULT_CONFIG.stability_threshold)
-    p.add_argument("--max-subdivisions", type=int,
-                   default=DEFAULT_CONFIG.max_subdivisions)
 
 
 def _add_model_args(p: argparse.ArgumentParser, pert_default=None) -> None:
@@ -52,9 +47,7 @@ def _add_model_args(p: argparse.ArgumentParser, pert_default=None) -> None:
 
 
 def _quad_config(args) -> QuadratureConfig:
-    return QuadratureConfig(abs_tol=args.abs_tol, rel_tol=args.rel_tol,
-                            max_subdivisions=args.max_subdivisions,
-                            stability_threshold=args.stability_threshold)
+    return QuadratureConfig(abs_tol=args.abs_tol)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -120,26 +120,31 @@ def uniform_model(m: int) -> ProbabilityModel:
     return ProbabilityModel(np.full(m, 1.0 / m))
 
 
-def poisson_model(lam: float, tail_tol: float, *,
-                  max_bins: int = POISSON_BIN_CAP) -> ProbabilityModel:
+def poisson_model(lam: float, tail_tol: float) -> ProbabilityModel:
     """Poisson(lam) truncated to its first bins; bin k holds the count k-1 mass.
 
     Truncates at the smallest m (at least 2) whose tail mass is below
-    ``tail_tol``.  The kept masses are left unrenormalized, so the model's
-    sum falls short of 1 by the (sub-tolerance) tail.
+    ``tail_tol``, and refuses one that needs more than ``POISSON_BIN_CAP``
+    bins.  The kept masses are left unrenormalized, so the model's sum
+    falls short of 1 by the (sub-tolerance) tail.  A lam whose exp(-lam)
+    is not a normal double (lam > 708.39) is refused.
     """
     if not (lam > 0.0) or not math.isfinite(lam):
         raise DistributionError(f"lambda must be positive, got {lam!r}")
     if not (0.0 < tail_tol < 1.0):
         raise DistributionError(f"tail_tol must lie in (0, 1), got {tail_tol!r}")
     term = math.exp(-lam)
+    if term < np.finfo(float).tiny:
+        raise DistributionError(
+            f"lambda={lam!r} is too large: exp(-lambda) underflows the "
+            f"normal double range")
     masses = [term]
     cum = term
     k = 0
     while 1.0 - cum >= tail_tol or len(masses) < 2:
-        if len(masses) >= max_bins:
+        if len(masses) >= POISSON_BIN_CAP:
             raise TruncationError(
-                f"tail below {tail_tol:g} needs more than {max_bins} bins")
+                f"tail below {tail_tol:g} needs more than {POISSON_BIN_CAP} bins")
         k += 1
         term *= lam / k
         cum += term

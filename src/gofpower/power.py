@@ -4,9 +4,9 @@ With F0 the null CDF (zero perturbation) and Fa the alternative CDF, the
 power function is traced by the points (1 - F0(x), 1 - Fa(x)) as x runs
 over a grid.  Each CDF on the grid is read off a Chebyshev interpolant in
 u = sqrt(x) whose degree doubles until it predicts its own new nodes, with
-an error bound.  Only the point queries ``asymptotic_power`` and
-``power_at`` solve for a critical value: by Brent's method on F0, started
-from a two-cumulant scaled chi-square quantile.
+an error bound.  Only the point query ``asymptotic_power`` solves for a
+critical value: by Brent's method on F0, started from a two-cumulant
+scaled chi-square quantile.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from .quadform import DEFAULT_CONFIG, Method, QuadratureConfig, cdf, cdf_many
 from .spectrum import Spectrum, compute_spectrum
 
 __all__ = [
-    "CurveMeta", "PowerCurve", "pvalue", "power_curve", "power_at",
-    "asymptotic_power", "default_grid",
+    "CurveMeta", "PowerCurve", "pvalue", "power_curve", "asymptotic_power",
+    "default_grid",
 ]
 
 CSV_HEADER = "x,F0,Fa,alpha,power"
@@ -267,10 +267,3 @@ def asymptotic_power(alpha: float, null_spec: Spectrum, alt_spec: Spectrum,
         fcur = f(xcur)
     raise RuntimeError(  # pragma: no cover - would need a discontinuous F0
         "Brent's method failed to localize the critical value")
-
-
-def power_at(alpha: float, model: ProbabilityModel, pert: Perturbation,
-             cfg: QuadratureConfig | None = None) -> float:
-    """Point query for the power at one significance level."""
-    alt_spec = compute_spectrum(model, pert)
-    return asymptotic_power(alpha, alt_spec.null(), alt_spec, cfg)

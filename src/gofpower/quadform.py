@@ -30,7 +30,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, ClassVar
 
 import numpy as np
 
@@ -46,6 +46,8 @@ __all__ = [
 # elements per integrand call.  Larger batches save no time, only memory.
 _IN_FLIGHT = 128
 _MAX_ELEMENTS = 8192
+# bisections an integral may spend after its first round
+_MAX_BISECTIONS = 200
 # real-axis tail: half-periods per round, and in all
 _TAIL_ROUND = 8
 _TAIL_PANELS = 64
@@ -72,18 +74,16 @@ class Method(str, enum.Enum):
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and budgets for CDF evaluation."""
+    """The absolute tolerance of every CDF integral.  A spectrum whose
+    ``stability_rhs`` exceeds the constant ``stability_threshold`` is
+    integrated on the real axis."""
 
     abs_tol: float = 1e-9
-    rel_tol: float = 1e-9
-    max_subdivisions: int = 200
-    stability_threshold: float = 1e8
+    stability_threshold: ClassVar[float] = 1e8
 
     def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0 or self.stability_threshold <= 0:
-            raise ValueError("tolerances and stability threshold must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be at least 1")
+        if self.abs_tol <= 0:
+            raise ValueError("abs_tol must be positive")
 
 
 DEFAULT_CONFIG = QuadratureConfig()
@@ -268,9 +268,11 @@ def _integral(cfg: QuadratureConfig, head: tuple, half_period: float = 0.0,
     integral runs on past ``upper`` in panels that wide, _TAIL_ROUND at a
     time, whose partial sums are extrapolated by Wynn's epsilon algorithm
     (QUADPACK's dqawf) until the last three extrapolations agree to a
-    tenth of the tolerance, or _TAIL_PANELS have been spent.
+    tenth of ``abs_tol``, or _TAIL_PANELS have been spent.  Then the worst
+    head panel is bisected until the summed error estimate is at most
+    ``abs_tol``, at most _MAX_BISECTIONS times.
     """
-    abs_tol, rel_tol = cfg.abs_tol, cfg.rel_tol
+    abs_tol = cfg.abs_tol
     heap: list = []
     order = itertools.count()
     extrap: list = []   # the epsilon extrapolation after each tail panel
@@ -297,8 +299,7 @@ def _integral(cfg: QuadratureConfig, head: tuple, half_period: float = 0.0,
             extrap.append(diag[(len(diag) - 1) & ~1])
         tail = extrap[-1]
         spread = abs(tail - extrap[-2]) + abs(tail - extrap[-3])
-        total = math.fsum(item[4] for item in heap) + tail
-        tail_ok = spread <= 0.1 * max(abs_tol, rel_tol * abs(total))
+        tail_ok = spread <= 0.1 * abs_tol
         if tail_ok or len(extrap) >= _TAIL_PANELS:
             tail_err += spread
             break
@@ -309,8 +310,8 @@ def _integral(cfg: QuadratureConfig, head: tuple, half_period: float = 0.0,
     # refine the worst head panel until the summed error meets tolerance
     total = math.fsum(item[4] for item in heap) + tail
     err_sum = math.fsum(item[5] for item in heap) + tail_err
-    budget = cfg.max_subdivisions
-    while err_sum > max(abs_tol, rel_tol * abs(total)) and budget > 0:
+    budget = _MAX_BISECTIONS
+    while err_sum > abs_tol and budget > 0:
         _, _, a, b, v, e = heapq.heappop(heap)
         total -= v
         err_sum -= e
@@ -326,7 +327,7 @@ def _integral(cfg: QuadratureConfig, head: tuple, half_period: float = 0.0,
 
     total = math.fsum(item[4] for item in heap) + tail
     err_sum = math.fsum(item[5] for item in heap) + tail_err
-    converged = tail_ok and err_sum <= max(abs_tol, rel_tol * abs(total))
+    converged = tail_ok and err_sum <= abs_tol
     if not converged:
         cause = "budget exhausted" if tail_ok else "oscillatory tail unresolved"
         # attributed to the first frame outside this package
@@ -374,21 +375,21 @@ def _drive(integrals, evaluate: Callable) -> list:
 
 
 def adaptive_integrate(f: Callable, cfg: QuadratureConfig | None = None, *,
-                       upper: float, initial_panels: int = 4) -> IntegralResult:
+                       upper: float) -> IntegralResult:
     """Integrate f over (0, upper] with the adaptive Gauss-Kronrod scheme.
 
     ``f`` maps an array of abscissae to the array of values.  The window
-    starts as ``initial_panels`` equal panels, and the worst is bisected
-    until the summed 10/21 error estimate meets tolerance; if
-    ``max_subdivisions`` bisections do not suffice, the best-effort value
-    comes with ``converged`` False and a RuntimeWarning.
+    starts as 4 equal panels, and the worst is bisected until the summed
+    10/21 error estimate is at most ``cfg.abs_tol``; if _MAX_BISECTIONS
+    bisections do not suffice, the best-effort value comes with
+    ``converged`` False and a RuntimeWarning.
     """
     cfg = cfg or DEFAULT_CONFIG
 
     def values(ys):
         return np.asarray(f(ys.ravel()), dtype=float).reshape(ys.shape)
 
-    return _drive([_integral(cfg, _panels(upper, initial_panels))],
+    return _drive([_integral(cfg, _panels(upper, 4))],
                   lambda edges, _: _eval_panels(values, edges))[0]
 
 
@@ -424,7 +425,7 @@ def cdf_many(xs, spec: "Spectrum", cfg: QuadratureConfig | None = None,
 
     F(x) = 0 for x <= 0 with no quadrature spent.  Otherwise the shifted
     contour is integrated directly, unless the spectrum's stability bound
-    exceeds the configured threshold, in which case F = 1/2 minus the
+    exceeds ``stability_threshold``, in which case F = 1/2 minus the
     real-axis inversion integral.  Returned values are clamped to [0, 1].
 
     Each point runs its own adaptive quadrature, deciding from its own

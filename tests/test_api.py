@@ -1,8 +1,10 @@
 """The package's public top level."""
 
+import dataclasses
 import types
 
 import gofpower
+from gofpower.quadform import DEFAULT_CONFIG, QuadratureConfig
 
 # Every public name of ``gofpower``, submodules excluded.  A change that adds
 # or removes one changes the API: it updates this set and says so.
@@ -22,8 +24,7 @@ PUBLIC = {
     "CdfEvaluation", "Method", "NumericalFailureError", "QuadratureConfig",
     "cdf", "cdf_many",
     # power
-    "CurveMeta", "PowerCurve", "asymptotic_power", "power_at", "power_curve",
-    "pvalue",
+    "CurveMeta", "PowerCurve", "asymptotic_power", "power_curve", "pvalue",
     # montecarlo
     "EmpiricalPowerPoint", "SimulationResult", "empirical_power",
     "simulate_statistics",
@@ -34,4 +35,11 @@ def test_public_names():
     names = {name for name, value in vars(gofpower).items()
              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert names == PUBLIC
-    assert len(PUBLIC) == 35
+    assert len(PUBLIC) == 34
+
+
+def test_quadrature_config_holds_only_the_tolerance():
+    # the route threshold is a class constant that perfbench reads from
+    # DEFAULT_CONFIG; the bisection budget is a module constant
+    assert [f.name for f in dataclasses.fields(QuadratureConfig)] == ["abs_tol"]
+    assert DEFAULT_CONFIG.stability_threshold == 1e8

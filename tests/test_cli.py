@@ -38,6 +38,28 @@ class TestSpectrumCommand:
         assert data["stability_rhs"] == pytest.approx(8.233, rel=5e-4)
 
 
+QUAD_COMMANDS = {
+    "cdf": ["cdf", "--model", "uniform:3", "--x", "1"],
+    "power": ["power", "--model", "uniform:4", "--out", "c.csv"],
+    "examples": ["examples"],
+}
+
+
+class TestQuadratureFlags:
+    @pytest.mark.parametrize("command", sorted(QUAD_COMMANDS))
+    def test_abs_tol_reaches_the_config(self, command):
+        args = cli.build_parser().parse_args([*QUAD_COMMANDS[command], "--abs-tol", "1e-6"])
+        assert cli._quad_config(args) == QuadratureConfig(abs_tol=1e-6)
+
+    @pytest.mark.parametrize("flag", ["--rel-tol", "--stability-threshold",
+                                      "--max-subdivisions"])
+    @pytest.mark.parametrize("command", sorted(QUAD_COMMANDS))
+    def test_dropped_flags_exit_2(self, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([*QUAD_COMMANDS[command], flag, "1"])
+        assert exc.value.code == 2
+
+
 class TestCdfCommand:
     def test_quadrature_defaults_are_the_library_defaults(self):
         args = cli.build_parser().parse_args(["cdf", "--model", "uniform:3", "--x", "1"])

@@ -111,9 +111,18 @@ class TestPoisson:
         m = poisson_model(3.0, 1e-16)
         assert 0.0 <= 1.0 - m.probs.sum() < 1e-15
 
-    def test_truncation_cap(self):
-        with pytest.raises(TruncationError):
-            poisson_model(3.0, 1e-10, max_bins=10)
+    def test_truncation_cap(self, monkeypatch):
+        monkeypatch.setattr("gofpower.model.POISSON_BIN_CAP", 10)
+        with pytest.raises(TruncationError, match="more than 10 bins"):
+            poisson_model(3.0, 1e-10)
+
+    def test_large_lambda(self):
+        # exp(-700) is a normal double; exp(-745) is subnormal and exp(-800)
+        # is 0, from which no mass could be built up
+        assert poisson_model(700.0, 1e-10).m == 876
+        for lam in (745.0, 800.0):
+            with pytest.raises(DistributionError, match="exp.*underflows"):
+                poisson_model(lam, 1e-10)
 
     def test_bad_parameters(self):
         with pytest.raises(DistributionError):

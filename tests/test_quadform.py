@@ -30,6 +30,7 @@ from gofpower.model import (
 from gofpower import quadform
 from gofpower.power import asymptotic_power, default_grid
 from gofpower.quadform import (
+    DEFAULT_CONFIG,
     Method,
     NumericalFailureError,
     QuadratureConfig,
@@ -88,7 +89,7 @@ class TestGaussKronrodTable:
 class TestAdaptiveIntegrate:
     def test_exponential_smoke(self):
         res = adaptive_integrate(lambda y: np.exp(-y),
-                                 QuadratureConfig(abs_tol=1e-12, rel_tol=1e-12),
+                                 QuadratureConfig(abs_tol=1e-12),
                                  upper=40.0)
         assert res.converged
         assert res.value == pytest.approx(1.0, abs=1e-12)
@@ -99,10 +100,10 @@ class TestAdaptiveIntegrate:
         assert res.converged
         assert res.value == pytest.approx(math.sqrt(math.pi / 2.0), abs=1e-9)
 
-    def test_budget_exhaustion_flagged(self):
-        cfg = QuadratureConfig(max_subdivisions=3)
+    def test_budget_exhaustion_flagged(self, monkeypatch):
+        monkeypatch.setattr(quadform, "_MAX_BISECTIONS", 3)
         with pytest.warns(RuntimeWarning, match="adaptive quadrature budget exhausted"):
-            res = adaptive_integrate(lambda y: np.sin(y) / (math.pi * y), cfg,
+            res = adaptive_integrate(lambda y: np.sin(y) / (math.pi * y),
                                      upper=1000.0)
         assert not res.converged
 
@@ -304,8 +305,28 @@ class TestCdf:
         unstable = compute_spectrum(model, pert)
         assert cdf(1.0, unstable).method is Method.IMHOF
         assert cdf(1.0, spec61).method is Method.SHIFTED_CONTOUR
-        tight = QuadratureConfig(stability_threshold=2.0)
-        assert cdf(1.0, spec61, tight).method is Method.IMHOF
+
+    def test_method_gate_at_threshold(self):
+        # one term with stability_rhs = exp(zeta^2 / sqrt(2)) on either side
+        # of the threshold, by one ulp of zeta; the rule is rhs <= threshold
+        threshold = QuadratureConfig.stability_threshold
+        assert threshold == 1e8
+        zeta = math.sqrt(math.sqrt(2.0) * math.log(threshold))
+        while Spectrum([1.0], [zeta]).stability_rhs > threshold:
+            zeta = math.nextafter(zeta, 0.0)
+        while Spectrum([1.0], [math.nextafter(zeta, math.inf)]).stability_rhs <= threshold:
+            zeta = math.nextafter(zeta, math.inf)
+        below = Spectrum([1.0], [zeta])
+        above = Spectrum([1.0], [math.nextafter(zeta, math.inf)])
+        assert below.stability_rhs <= threshold < above.stability_rhs
+        assert above.stability_rhs < threshold * (1.0 + 1e-14)
+        for spec, want in ((below, Method.SHIFTED_CONTOUR), (above, Method.IMHOF)):
+            ev = cdf(spec.mean(), spec)
+            assert ev.method is want
+            assert ev.method is (Method.SHIFTED_CONTOUR
+                                 if spec.stability_rhs <= DEFAULT_CONFIG.stability_threshold
+                                 else Method.IMHOF)
+            assert ev.converged
 
     def test_monotone_and_in_range(self):
         rng = np.random.default_rng(21)
@@ -349,14 +370,15 @@ class TestCdf:
     def test_bound_assertions_hold_at_nodes(self, spec61):
         # the vectorized integrand asserts both envelope bounds at every node
         # under __debug__; a full evaluation exercising many panels passes
-        ev = cdf(0.8, spec61, QuadratureConfig(abs_tol=1e-12, rel_tol=1e-12))
+        ev = cdf(0.8, spec61, QuadratureConfig(abs_tol=1e-12))
         assert ev.converged
 
     @pytest.mark.parametrize("call", ["cdf", "cdf_many", "asymptotic_power"])
-    def test_warning_points_at_caller(self, spec61, call):
+    def test_warning_points_at_caller(self, spec61, call, monkeypatch):
         # an unconverged integral is reported against the first frame
         # outside the package, however deep the call into it
-        starved = QuadratureConfig(abs_tol=1e-15, rel_tol=1e-15, max_subdivisions=1)
+        monkeypatch.setattr(quadform, "_MAX_BISECTIONS", 1)
+        starved = QuadratureConfig(abs_tol=1e-15)
         run = {"cdf": lambda: cdf(1.0, spec61, starved),
                "cdf_many": lambda: cdf_many([1.0], spec61, starved),
                "asymptotic_power": lambda: asymptotic_power(
