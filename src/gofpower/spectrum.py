@@ -216,7 +216,8 @@ def eigendecompose(p0, a):
     root: it probes the double just inside that end.  A step at or past the
     other end, or a NaN or infinite one, bisects.  When every bracket is two
     adjacent doubles, tau is the end away from the pole, as bisection left
-    it.  The gaps, eigenvectors included, are solved _BLOCK rows at a time.
+    it.  The gaps, eigenvectors included, are solved _BLOCK rows at a time;
+    every sum is formed row by row, so no bit depends on _BLOCK.
     Eigenvectors are signed so that their first entry is positive.
     Within a tied group the eigenbasis is free: one vector is taken along
     the group's part of ``a``, so the group's first eta is |a_G - mean(a_G)|
@@ -245,7 +246,8 @@ def eigendecompose(p0, a):
         v = tau[:, None] / ((poles - pole[:, None]) - tau[:, None])
         v *= np.sign(v[:, which[0]])[:, None]
         lam.append(pole + tau)
-        eta.append((v @ sum_a) / np.sqrt((v * v) @ weight))
+        eta.append(np.einsum("ij,j->i", v, sum_a)
+                   / np.sqrt(np.einsum("ij,j->i", v * v, weight)))
 
     lam, eta = np.concatenate(lam), np.concatenate(eta)
     order = np.argsort(lam, kind="stable")

@@ -155,6 +155,21 @@ class TestEigendecompose:
         a = pert.entries
         assert float(eta @ eta) == pytest.approx(float(a @ a), rel=1e-13)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_independent_of_block_size(self, seed, monkeypatch):
+        # each row's sums are formed on their own, so the number of rows
+        # solved together moves no bit of lambda or eta
+        p0 = distinct_p0(300, 1e3, seed)
+        a = np.random.default_rng(seed).normal(size=p0.size)
+        a -= a.mean()
+        runs = []
+        for block in (7, 128):
+            monkeypatch.setattr("gofpower.spectrum._BLOCK", block)
+            runs.append(eigendecompose(p0, a))
+        (lam7, eta7), (lam128, eta128) = runs
+        assert np.array_equal(lam7, lam128)
+        assert np.array_equal(eta7, eta128)
+
     def test_agrees_with_lapack(self):
         for _, model, _ in builtin_examples():
             lam, _ = eigendecompose(model.probs, np.zeros(model.m))
