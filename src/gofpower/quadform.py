@@ -82,8 +82,8 @@ class QuadratureConfig:
     stability_threshold: ClassVar[float] = 1e8
 
     def __post_init__(self):
-        if self.abs_tol <= 0:
-            raise ValueError("abs_tol must be positive")
+        if not 0.0 < self.abs_tol < math.inf:
+            raise ValueError(f"abs_tol must be finite and positive, got {self.abs_tol!r}")
 
 
 DEFAULT_CONFIG = QuadratureConfig()

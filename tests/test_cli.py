@@ -51,6 +51,15 @@ class TestQuadratureFlags:
         args = cli.build_parser().parse_args([*QUAD_COMMANDS[command], "--abs-tol", "1e-6"])
         assert cli._quad_config(args) == QuadratureConfig(abs_tol=1e-6)
 
+    @pytest.mark.parametrize("value", ["0", "-1e-9", "nan", "inf"])
+    def test_bad_abs_tol_exits_2(self, capsys, value):
+        # a NaN or infinite tolerance used to pass as "converged" or give a
+        # value from a window cut at 1.5
+        code, _, err = run(capsys, "cdf", "--model", "uniform:10", "--x", "1",
+                           f"--abs-tol={value}")
+        assert code == EXIT_INPUT
+        assert "abs_tol must be finite and positive" in err
+
     @pytest.mark.parametrize("flag", ["--rel-tol", "--stability-threshold",
                                       "--max-subdivisions"])
     @pytest.mark.parametrize("command", sorted(QUAD_COMMANDS))
