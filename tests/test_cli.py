@@ -53,8 +53,8 @@ class TestQuadratureFlags:
 
     @pytest.mark.parametrize("value", ["0", "-1e-9", "nan", "inf"])
     def test_bad_abs_tol_exits_2(self, capsys, value):
-        # a NaN or infinite tolerance used to pass as "converged" or give a
-        # value from a window cut at 1.5
+        # a NaN tolerance would cut the shifted window at 1.5, and an
+        # infinite one would accept any error estimate as converged
         code, _, err = run(capsys, "cdf", "--model", "uniform:10", "--x", "1",
                            f"--abs-tol={value}")
         assert code == EXIT_INPUT

@@ -310,7 +310,6 @@ class TestCdf:
         # one term with stability_rhs = exp(zeta^2 / sqrt(2)) on either side
         # of the threshold, by one ulp of zeta; the rule is rhs <= threshold
         threshold = QuadratureConfig.stability_threshold
-        assert threshold == 1e8
         zeta = math.sqrt(math.sqrt(2.0) * math.log(threshold))
         while Spectrum([1.0], [zeta]).stability_rhs > threshold:
             zeta = math.nextafter(zeta, 0.0)
