@@ -91,13 +91,16 @@ DEFAULT_CONFIG = QuadratureConfig()
 
 @dataclass(frozen=True)
 class CdfEvaluation:
-    """A CDF value with its error estimate and cost accounting."""
+    """A CDF value with its error estimate and cost accounting.  ``density``
+    comes from the same panels on the shifted contour and is NaN on the real
+    axis; it serves Newton steps only, with no error bound of its own."""
 
     value: float
     abs_error_estimate: float
     nodes_used: int
     method: Method
     converged: bool = True
+    density: float = math.nan
 
 
 @dataclass(frozen=True)
@@ -106,6 +109,7 @@ class IntegralResult:
     error_estimate: float
     nodes_used: int
     converged: bool
+    density: float = math.nan
 
 
 # 10-point Gauss / 21-point Kronrod nodes and weights on [-1, 1]
@@ -155,7 +159,8 @@ del _j
 
 
 def _shifted_values(y, x, s2, cnt, z2, ell):
-    """Shifted-contour integrand at the nodes y, one row per CDF argument x.
+    """Shifted-contour integrands of F and of its density (ds for ds/s; Daniels
+    1954, Ann. Math. Statist. 25:631) at the nodes y, stacked, a row per x.
 
     Real arithmetic throughout: log w = log|w| + i atan2(Im w, Re w) factor
     by factor (a summed principal log), group sums as matrix-vector
@@ -186,9 +191,10 @@ def _shifted_values(y, x, s2, cnt, z2, ell):
     # Im(e^expo / (pi d)) with d = y - 1/(1 - i rt) = d_re - i d_im
     d_re = y - 1.0 / (1.0 + ell)
     d_im = rt / (1.0 + ell)
-    out = (np.exp(expo_re) * (np.sin(expo_im) * d_re + np.cos(expo_im) * d_im)
-           / (math.pi * (d_re * d_re + d_im * d_im)))
-    return out.reshape(shape)
+    amp, sin, cos = np.exp(expo_re), np.sin(expo_im), np.cos(expo_im)
+    out = amp * (sin * d_re + cos * d_im) / (math.pi * (d_re * d_re + d_im * d_im))
+    dens = (amp * (rt * cos - sin)).reshape(shape) / (math.pi * x[:, None])
+    return np.stack([out.reshape(shape), dens])
 
 
 def _imhof_values(y, x, s2, cnt, z2, ell):
@@ -216,17 +222,18 @@ def _imhof_values(y, x, s2, cnt, z2, ell):
 
 def _eval_panels(f, edges, *args):
     """Evaluate the embedded pair on panels (rows of ``edges``) in one call
-    f(nodes, *args), nodes holding each panel's 21 abscissae in a row."""
+    f(nodes, *args), nodes holding each panel's 21 abscissae in a row; a
+    density's integrand that f stacks under it gets Kronrod values, or NaN."""
     half = 0.5 * (edges[:, 1] - edges[:, 0])
     mid = 0.5 * (edges[:, 0] + edges[:, 1])
     ys = mid[:, None] + half[:, None] * _NODES
-    fv = f(ys, *args)
+    fv = f(ys, *args).reshape(-1, *ys.shape)
     if not np.all(np.isfinite(fv)):
-        bad = ys.ravel()[np.flatnonzero(~np.isfinite(fv.ravel()))[0]]
-        raise NumericalFailureError(float(bad))
-    kron = half * (fv @ _WK_FULL)
-    gauss = half * (fv @ _WG_FULL)
-    return kron, np.abs(kron - gauss)
+        raise NumericalFailureError(float(ys[~np.isfinite(fv).all(axis=0)][0]))
+    kron = half * (fv[0] @ _WK_FULL)
+    gauss = half * (fv[0] @ _WG_FULL)
+    dens = half * (fv[1] @ _WK_FULL) if len(fv) > 1 else np.full_like(half, math.nan)
+    return kron, np.abs(kron - gauss), dens
 
 
 @functools.lru_cache(maxsize=64)
@@ -259,9 +266,9 @@ def _integral(cfg: QuadratureConfig, head: tuple, half_period: float = 0.0,
     """The adaptive scheme of ``adaptive_integrate`` for one integral.
 
     A generator: each ``yield`` hands out a sequence of panels (a, b) and
-    receives their Kronrod values and error estimates as two arrays; it
-    returns the IntegralResult.  It decides what to evaluate from those
-    numbers alone, not from what else is evaluated alongside them.
+    receives their Kronrod values, error estimates and density values as
+    three arrays; it returns the IntegralResult.  It decides what to
+    evaluate from the first two alone, not from what else runs beside it.
 
     It starts from the ``head`` panels, which end at ``upper``, with
     ``tail_err`` bounding what lies past them.  With a ``half_period``, the
@@ -284,10 +291,10 @@ def _integral(cfg: QuadratureConfig, head: tuple, half_period: float = 0.0,
 
     upper = head[-1][1]
     pairs = [*head, *tail_round()] if half_period else head
-    vals, errs = yield pairs
+    vals, errs, dens = yield pairs
     nodes = PANEL_SIZE * len(pairs)
-    for (a, b), v, e in zip(head, vals.tolist(), errs.tolist()):
-        heapq.heappush(heap, (-e, next(order), a, b, v, e))
+    for (a, b), v, e, d in zip(head, vals.tolist(), errs.tolist(), dens.tolist()):
+        heapq.heappush(heap, (-e, next(order), a, b, v, e, d))
     n, diag = len(head), []
     partial = tail = 0.0
     tail_ok = True
@@ -304,24 +311,21 @@ def _integral(cfg: QuadratureConfig, head: tuple, half_period: float = 0.0,
             tail_err += spread
             break
         pairs, n = tail_round(), 0
-        vals, errs = yield pairs
+        vals, errs, _ = yield pairs
         nodes += PANEL_SIZE * len(pairs)
 
     # refine the worst head panel until the summed error meets tolerance
-    total = math.fsum(item[4] for item in heap) + tail
     err_sum = math.fsum(item[5] for item in heap) + tail_err
     budget = _MAX_BISECTIONS
     while err_sum > abs_tol and budget > 0:
-        _, _, a, b, v, e = heapq.heappop(heap)
-        total -= v
+        _, _, a, b, _, e, _ = heapq.heappop(heap)
         err_sum -= e
         mid = 0.5 * (a + b)
-        vals, errs = yield [(a, mid), (mid, b)]
+        vals, errs, dens = yield [(a, mid), (mid, b)]
         nodes += 2 * PANEL_SIZE
-        (v0, v1), (e0, e1) = vals.tolist(), errs.tolist()
-        heapq.heappush(heap, (-e0, next(order), a, mid, v0, e0))
-        heapq.heappush(heap, (-e1, next(order), mid, b, v1, e1))
-        total += v0 + v1
+        (v0, v1), (e0, e1), (d0, d1) = vals.tolist(), errs.tolist(), dens.tolist()
+        heapq.heappush(heap, (-e0, next(order), a, mid, v0, e0, d0))
+        heapq.heappush(heap, (-e1, next(order), mid, b, v1, e1, d1))
         err_sum += e0 + e1
         budget -= 1
 
@@ -338,7 +342,8 @@ def _integral(cfg: QuadratureConfig, head: tuple, half_period: float = 0.0,
             f"adaptive quadrature {cause} (error estimate {err_sum:.3e}, "
             f"upper limit {upper + half_period * len(extrap):g})",
             RuntimeWarning, stacklevel=level)
-    return IntegralResult(total, err_sum, nodes, converged)
+    return IntegralResult(total, err_sum, nodes, converged,
+                          math.fsum(item[6] for item in heap))
 
 
 def _drive(integrals, evaluate: Callable) -> list:
@@ -362,12 +367,12 @@ def _drive(integrals, evaluate: Callable) -> list:
         counts = [len(pairs) for _, _, pairs in live]
         edges = np.array([p for _, _, pairs in live for p in pairs])
         owners = np.repeat([i for i, _, _ in live], counts)
-        vals, errs = evaluate(edges, owners)
+        out = evaluate(edges, owners)
         still = []
         lo = 0
         for (i, gen, _), n in zip(live, counts):
             try:
-                still.append((i, gen, gen.send((vals[lo:lo + n], errs[lo:lo + n]))))
+                still.append((i, gen, gen.send([a[lo:lo + n] for a in out])))
             except StopIteration as done:
                 results[i] = done.value
             lo += n
@@ -477,7 +482,7 @@ def cdf_many(xs, spec: "Spectrum", cfg: QuadratureConfig | None = None,
     out = []
     for x in xs:
         if x <= 0.0:
-            out.append(CdfEvaluation(0.0, 0.0, 0, method))
+            out.append(CdfEvaluation(0.0, 0.0, 0, method, density=0.0))
             continue
         res = next(results)
         value = res.value if shifted else 0.5 - res.value
@@ -486,7 +491,7 @@ def cdf_many(xs, spec: "Spectrum", cfg: QuadratureConfig | None = None,
             abs_error_estimate=res.error_estimate,
             nodes_used=res.nodes_used,
             method=method,
-            converged=res.converged,
+            converged=res.converged, density=res.density,
         ))
     return out
 

@@ -70,18 +70,33 @@ def chi2_cdf(df: float, x: float) -> float:
     return regularized_gamma_p(0.5 * df, 0.5 * x)
 
 
+def chi2_pdf(df: float, x: float) -> float:
+    """Central chi-square density x^(k/2-1) e^(-x/2) / (2^(k/2) Gamma(k/2)),
+    k = df, on x > 0, summed in the log; 0 for x <= 0."""
+    if x <= 0:
+        return 0.0
+    k = 0.5 * df
+    return math.exp((k - 1.0) * math.log(x) - 0.5 * x - k * math.log(2.0) - math.lgamma(k))
+
+
 def chi2_quantile(df: float, p: float, tol: float = 1e-12) -> float:
     """Inverse of chi2_cdf by bisection; good enough for test fixtures."""
+    return noncentral_chi2_quantile(df, 0.0, p, tol)
+
+
+def noncentral_chi2_quantile(df: float, noncentrality: float, p: float,
+                             tol: float = 1e-12) -> float:
+    """Inverse of noncentral_chi2_cdf by bisection."""
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie in (0, 1)")
-    lo, hi = 0.0, max(1.0, float(df))
-    while chi2_cdf(df, hi) < p:
+    lo, hi = 0.0, max(1.0, df + noncentrality)
+    while noncentral_chi2_cdf(df, noncentrality, hi) < p:
         hi *= 2.0
         if hi > 1e12:
             raise RuntimeError("quantile bracket failure")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if chi2_cdf(df, mid) < p:
+        if noncentral_chi2_cdf(df, noncentrality, mid) < p:
             lo = mid
         else:
             hi = mid
@@ -118,6 +133,34 @@ def noncentral_chi2_cdf(df: float, noncentrality: float, x: float) -> float:
         if 1.0 - cum_weight < 1e-14:
             break
     return min(1.0, total)
+
+
+def noncentral_chi2_pdf(df: float, noncentrality: float, x: float) -> float:
+    """Noncentral chi-square density as a Poisson mixture of central ones.
+
+    f(x) = sum_j e^{-l/2} (l/2)^j / j! * chi2_pdf(df + 2j, x), summed
+    forward.  Past j = l/2 the weights fall faster than geometrically, and
+    every chi2_pdf with df + 2j >= 2 is at most 1/2, so the loop stops once
+    the dropped tail is below 1e-16 of the sum.
+    """
+    if x <= 0:
+        return 0.0
+    if noncentrality < 0:
+        raise ValueError("noncentrality must be nonnegative")
+    if noncentrality == 0.0:
+        return chi2_pdf(df, x)
+    half = 0.5 * noncentrality
+    weight = math.exp(-half)
+    if weight == 0.0:
+        raise ValueError("noncentrality too large for forward summation")
+    total = weight * chi2_pdf(df, x)
+    for j in range(1, _MAX_ITER):
+        weight *= half / j
+        total += weight * chi2_pdf(df + 2 * j, x)
+        ratio = half / (j + 1)
+        if ratio < 1.0 and 0.5 * weight * ratio / (1.0 - ratio) <= 1e-16 * total:
+            break
+    return total
 
 
 def secular_spectrum(p0, a, digits: int = 50):

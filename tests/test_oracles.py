@@ -9,8 +9,11 @@ import scipy.stats as st
 from oracles import (
     bisect_secular_roots,
     chi2_cdf,
+    chi2_pdf,
     chi2_quantile,
     noncentral_chi2_cdf,
+    noncentral_chi2_pdf,
+    noncentral_chi2_quantile,
     secular_spectrum,
 )
 
@@ -55,10 +58,50 @@ def test_noncentral_reduces_to_central():
         assert noncentral_chi2_cdf(9, 0.0, x) == chi2_cdf(9, x)
 
 
+def test_chi2_pdf_against_mpmath():
+    # the closed form, in 30 digits
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(13)
+    with mpmath.workdps(30):
+        for _ in range(100):
+            df = int(rng.integers(1, 60))
+            x = float(rng.uniform(1e-6, 5.0 * df))
+            k = mpmath.mpf(df) / 2
+            want = mpmath.mpf(x) ** (k - 1) * mpmath.exp(-mpmath.mpf(x) / 2) / (
+                2 ** k * mpmath.gamma(k))
+            assert abs(chi2_pdf(df, x) - want) <= 1e-13 * want
+
+
+def test_noncentral_pdf_against_mpmath_bessel():
+    # the Bessel form, not the Poisson mixture: e^(-(x+l)/2) (x/l)^(k/4-1/2)
+    # I_(k/2-1)(sqrt(l x)) / 2, in 30 digits
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(17)
+    with mpmath.workdps(30):
+        for _ in range(100):
+            df = int(rng.integers(1, 40))
+            lam = float(rng.uniform(0.1, 40.0))
+            x = float(rng.uniform(1e-3, 3.0 * (df + lam)))
+            mx, ml = mpmath.mpf(x), mpmath.mpf(lam)
+            want = (mpmath.exp(-(mx + ml) / 2) * (mx / ml) ** (mpmath.mpf(df) / 4 - 0.5)
+                    * mpmath.besseli(mpmath.mpf(df) / 2 - 1, mpmath.sqrt(ml * mx)) / 2)
+            assert abs(noncentral_chi2_pdf(df, lam, x) - want) <= 1e-12 * want
+    assert noncentral_chi2_pdf(9, 0.0, 3.0) == chi2_pdf(9, 3.0)
+
+
+def test_noncentral_quantile_roundtrip():
+    for df, lam in ((1, 2.0), (9, 4.0), (9, 60.0)):
+        for p in (0.01, 0.05, 0.5, 0.999, 1.0 - 1e-6):
+            q = noncentral_chi2_quantile(df, lam, p)
+            assert noncentral_chi2_cdf(df, lam, q) == pytest.approx(p, abs=1e-10)
+            assert st.ncx2.ppf(p, df, lam) == pytest.approx(q, rel=1e-9)
+
+
 def test_edge_cases():
     assert chi2_cdf(5, 0.0) == 0.0
     assert chi2_cdf(5, -1.0) == 0.0
     assert noncentral_chi2_cdf(5, 2.0, -1.0) == 0.0
+    assert chi2_pdf(5, 0.0) == noncentral_chi2_pdf(5, 2.0, -1.0) == 0.0
     with pytest.raises(ValueError):
         chi2_quantile(3, 1.5)
 

@@ -4,6 +4,7 @@ Frozen values computed with tests/oracles.py.
 """
 
 import io
+import math
 import warnings
 
 import numpy as np
@@ -16,6 +17,7 @@ from oracles import (
     chi2_cdf,
     chi2_quantile,
     noncentral_chi2_cdf,
+    noncentral_chi2_quantile,
 )
 
 from gofpower.model import (
@@ -283,8 +285,9 @@ def test_seeded_benchmark_power_not_below_alpha(name):
 @pytest.mark.parametrize("case", ["example1", "example2", "example3", "example4",
                                   *sorted(SEEDED_POWER_MODELS)])
 def test_critical_value_cost_and_range(case, monkeypatch):
-    # Brent's method from the two-cumulant start: at most 16 cdf calls per
-    # alpha, the alternative's included, from alpha = 1e-10 to 0.999
+    # Newton's method on the smaller tail from the two-cumulant start: at
+    # most 16 cdf calls per alpha, the alternative's included, from alpha =
+    # 1e-10 to 0.999, and at most 5 at the levels model-sweep asks for
     if case in SEEDED_POWER_MODELS:
         alt = Spectrum(SEEDED_POWER_MODELS[case]["sigma"],
                        SEEDED_POWER_MODELS[case]["zeta"])
@@ -301,8 +304,30 @@ def test_critical_value_cost_and_range(case, monkeypatch):
     for alpha in (1e-10, 1e-6, 0.01, 0.05, 0.1, 0.5, 0.999):
         calls.clear()
         got = asymptotic_power(alpha, alt.null(), alt)
-        assert len(calls) <= 16, (alpha, len(calls))
+        assert len(calls) <= (5 if alpha in (0.01, 0.05, 0.1) else 16), (alpha, len(calls))
         assert alpha - 1e-7 <= got <= 1.0, (alpha, got)
+
+
+@pytest.mark.parametrize("alpha", [1e-6, 0.01, 0.05, 0.1, 0.5, 0.999])
+def test_critical_value_on_the_real_axis(alpha, monkeypatch):
+    # a null whose stability bound exceeds the threshold runs on the real
+    # axis, which gives no density: Newton's slope is then the secant of the
+    # log tail.  Nine unit sigma^2 with sum zeta^2 = 60 make F0 the
+    # noncentral chi2(9, 60) CDF, against chi2(9, 80)
+    null = Spectrum(np.ones(9), [math.sqrt(60.0)] + [0.0] * 8)
+    alt = Spectrum(np.ones(9), [math.sqrt(80.0)] + [0.0] * 8)
+    assert null.stability_rhs > DEFAULT_CONFIG.stability_threshold
+    assert math.isnan(cdf(10.0, null).density)
+    calls = []
+
+    def counting_cdf(*args, **kwargs):
+        calls.append(args[0])
+        return cdf(*args, **kwargs)
+
+    monkeypatch.setattr(power, "cdf", counting_cdf)
+    want = 1.0 - noncentral_chi2_cdf(9, 80.0, noncentral_chi2_quantile(9, 60.0, 1.0 - alpha))
+    assert asymptotic_power(alpha, null, alt) == pytest.approx(want, abs=1e-9)
+    assert len(calls) <= 8
 
 
 class TestDominance:

@@ -5,6 +5,7 @@ continued-fraction chi-square implementations independent of the
 quadrature path).
 """
 
+import functools
 import math
 import warnings
 
@@ -18,6 +19,8 @@ from oracles import (
     SEEDED_CDF_REFERENCES,
     TINY_VARIANCE,
     chi2_cdf,
+    noncentral_chi2_pdf,
+    noncentral_chi2_quantile,
 )
 
 from gofpower.model import (
@@ -389,14 +392,18 @@ class TestCdf:
         assert all(w.filename == __file__ for w in caught)
 
 
-def complex_shifted(y, x, spec):
+def complex_shifted(y, x, spec, density=False):
     """The shifted-contour integrand in complex arithmetic, one factor per
     eigenvalue: Im of exp((1-y) + i y rt + sum(z2 (1/w - 1)/2 - log(w)/2))
-    over pi (y - 1/(1 - i rt))."""
+    over pi (y - 1/(1 - i rt)).  On s = ((1 - i rt) y - 1)/x that is
+    e^(K(s) - sx) s'(y) / (pi s); the ``density``'s has ds in place of
+    ds/s, with the sign of d/dx e^(-sx) = -s e^(-sx)."""
     s2, z2, rt = spec.sigma ** 2, spec.zeta ** 2, math.sqrt(spec.ell)
     w = 1.0 - 2.0 * (y[:, None] - 1.0) * (s2 / x) + 2.0j * y[:, None] * (s2 * rt / x)
     expo = ((1.0 - y) + 1.0j * y * rt
             + (0.5 * z2 * (1.0 / w - 1.0) - 0.5 * np.log(w)).sum(axis=1))
+    if density:
+        return -np.exp(expo) * (1.0 - 1.0j * rt) / (math.pi * x)
     return np.exp(expo) / (math.pi * (y - 1.0 / (1.0 - 1.0j * rt)))
 
 
@@ -415,9 +422,11 @@ class TestRealArithmeticKernels:
         # one x per row; the error is relative to the modulus of the complex
         # value, whose imaginary part the kernels return.  Both forms round
         # the phase y sqrt(ell) alike, losing about |phase| * eps, so y stays
-        # below 40, where the integrals get their mass.
-        kernel, ref = ((_shifted_values, complex_shifted) if shifted
-                       else (_imhof_values, complex_imhof))
+        # below 40, where the integrals get their mass.  The shifted kernel
+        # stacks the density's integrand under F's.
+        kernel, refs = ((_shifted_values, [complex_shifted,
+                                           functools.partial(complex_shifted, density=True)])
+                        if shifted else (_imhof_values, [complex_imhof]))
         rng = np.random.default_rng(31)
         ys = np.sort(rng.uniform(1e-3, 40.0, (3, 21)), axis=1)
         for k in range(20):
@@ -429,10 +438,26 @@ class TestRealArithmeticKernels:
                 spec = Spectrum(np.repeat(spec.sigma[:3], 3),
                                 np.resize(spec.zeta, 9))
             xs = rng.uniform(0.1, 5.0, 3) * spec.mean()
-            got = kernel(ys, xs, *spec.groups)
-            for row, x in zip(range(3), xs):
-                want = ref(ys[row], x, spec)
-                assert np.all(np.abs(got[row] - want.imag) <= 1e-13 * np.abs(want))
+            got = kernel(ys, xs, *spec.groups).reshape(len(refs), *ys.shape)
+            for values, ref in zip(got, refs):
+                for row, x in zip(range(3), xs):
+                    want = ref(ys[row], x, spec)
+                    assert np.all(np.abs(values[row] - want.imag) <= 1e-13 * np.abs(want))
+
+
+@pytest.mark.parametrize("df,noncentrality", [(1, 0.0), (2, 0.0), (9, 0.0),
+                                               (9, 4.0), (30, 20.0)])
+def test_density_matches_oracle(df, noncentrality):
+    # unit sigma^2 with one shift: the (noncentral) chi-square law, whose
+    # density comes with each F on the shifted contour
+    zeta = [math.sqrt(noncentrality)] + [0.0] * (df - 1)
+    spec = Spectrum(np.ones(df), zeta)
+    ps = [1e-6, 1e-3, 0.05, 0.5, 0.95, 0.999, 1.0 - 1e-6]
+    xs = [noncentral_chi2_quantile(df, noncentrality, p) for p in ps]
+    for x, ev in zip(xs, cdf_many(xs, spec)):
+        assert ev.method is Method.SHIFTED_CONTOUR
+        want = noncentral_chi2_pdf(df, noncentrality, x)
+        assert abs(ev.density - want) <= 1e-6 * max(1.0, want), (x, ev.density, want)
 
 
 class TestCdfMany:
@@ -455,7 +480,8 @@ class TestCdfMany:
         assert len(evs) == len(xs)
         for x, ev in zip(xs, evs):
             if x <= 0.0:
-                assert (ev.value, ev.abs_error_estimate, ev.nodes_used) == (0.0, 0.0, 0)
+                assert (ev.value, ev.abs_error_estimate, ev.nodes_used, ev.density) == (
+                    0.0, 0.0, 0, 0.0)
             else:
                 one = cdf(x, spec61)
                 assert ev.nodes_used == one.nodes_used > 0
