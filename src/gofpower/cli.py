@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import re
 import sys
 import time
 from pathlib import Path
@@ -90,6 +91,9 @@ def build_parser() -> argparse.ArgumentParser:
     ex.add_argument("--grid-step", type=float, default=1.0 / 2000.0)
     ex.add_argument("--grid-max", type=float, default=5.0)
     _add_quad_args(ex)
+    # argparse takes -5 and -0.5 for numbers, not -1e-3; these parsers take all
+    for parser in (p, *sub.choices.values()):
+        parser._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
     return p
 
 

@@ -60,6 +60,13 @@ class TestQuadratureFlags:
         assert code == EXIT_INPUT
         assert "abs_tol must be finite and positive" in err
 
+    def test_negative_abs_tol_in_scientific_notation_as_its_own_argument(self, capsys):
+        # argparse alone takes only -5 or -0.5 for a number, not -1e-9
+        code, _, err = run(capsys, "cdf", "--model", "uniform:10", "--x", "1",
+                           "--abs-tol", "-1e-9")
+        assert code == EXIT_INPUT
+        assert "abs_tol must be finite and positive" in err
+
     @pytest.mark.parametrize("flag", ["--rel-tol", "--stability-threshold",
                                       "--max-subdivisions"])
     @pytest.mark.parametrize("command", sorted(QUAD_COMMANDS))
@@ -89,6 +96,14 @@ class TestCdfCommand:
         fields = dict(kv.split("=") for kv in out.split())
         assert float(fields["cdf"]) == 0.0
         assert fields["nodes"] == "0"
+
+    def test_negative_x_in_scientific_notation(self, capsys):
+        code, out, _ = run(capsys, "cdf", "--model", "uniform:3", "--x", "1", "-1e-3")
+        assert code == EXIT_OK
+        lines = [dict(kv.split("=") for kv in line.split()) for line in out.splitlines()]
+        assert [float(f["x"]) for f in lines] == [1.0, -1e-3]
+        assert float(lines[0]["cdf"]) == pytest.approx(chi2_cdf(2, 3.0), abs=1e-6)
+        assert (float(lines[1]["cdf"]), lines[1]["nodes"]) == (0.0, "0")
 
     def test_example4_routes_to_imhof(self, capsys, tmp_path):
         from gofpower.model import builtin_examples

@@ -170,6 +170,12 @@ class TestEigendecompose:
         assert np.array_equal(lam7, lam128)
         assert np.array_equal(eta7, eta128)
 
+    def test_sweep_cap_raises(self, monkeypatch):
+        # a bracket left open fails, naming its gap, instead of looping on
+        monkeypatch.setattr("gofpower.spectrum._MAX_SWEEPS", 1)
+        with pytest.raises(RuntimeError, match=r"gap 0 .* after 1 sweeps"):
+            eigendecompose([0.2, 0.3, 0.5], [0.1, 0.0, -0.1])
+
     def test_agrees_with_lapack(self):
         for _, model, _ in builtin_examples():
             lam, _ = eigendecompose(model.probs, np.zeros(model.m))
