@@ -109,7 +109,7 @@ class IntegralResult:
     error_estimate: float
     nodes_used: int
     converged: bool
-    density: float = math.nan
+    density: float
 
 
 # 10-point Gauss / 21-point Kronrod nodes and weights on [-1, 1]
