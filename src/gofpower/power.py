@@ -240,9 +240,8 @@ def asymptotic_power(alpha: float, null_spec: Spectrum, alt_spec: Spectrum,
         slope = ev.density / tail if tail > 0.0 else math.nan
         if not slope > 0.0 and prev:
             slope = (h - prev[1]) / (x - prev[0])
-        prev, new = (x, h), math.nan
-        if slope > 0.0:
-            new = min(max(x - h / slope, 0.25 * x), 4.0 * x)
+        prev = (x, h)
+        new = min(max(x - h / slope, 0.25 * x), 4.0 * x) if slope > 0.0 else math.nan
         if not lo < new < hi:   # also where there is no step
             if lo > 0.0 and hi < math.inf:
                 new = 0.5 * (lo + hi)

@@ -159,8 +159,8 @@ del _j
 
 
 def _shifted_values(y, x, s2, cnt, z2, ell):
-    """Shifted-contour integrands of F and of its density (ds for ds/s; Daniels
-    1954, Ann. Math. Statist. 25:631) at the nodes y, stacked, a row per x.
+    """Shifted-contour integrands of F and, times pi x, of its density (ds for
+    ds/s; Daniels 1954, Ann. Math. Statist. 25:631), a row per CDF argument x.
 
     Real arithmetic throughout: log w = log|w| + i atan2(Im w, Re w) factor
     by factor (a summed principal log), group sums as matrix-vector
@@ -193,8 +193,7 @@ def _shifted_values(y, x, s2, cnt, z2, ell):
     d_im = rt / (1.0 + ell)
     amp, sin, cos = np.exp(expo_re), np.sin(expo_im), np.cos(expo_im)
     out = amp * (sin * d_re + cos * d_im) / (math.pi * (d_re * d_re + d_im * d_im))
-    dens = (amp * (rt * cos - sin)).reshape(shape) / (math.pi * x[:, None])
-    return np.stack([out.reshape(shape), dens])
+    return out.reshape(shape), (amp * (rt * cos - sin)).reshape(shape)
 
 
 def _imhof_values(y, x, s2, cnt, z2, ell):
@@ -222,17 +221,19 @@ def _imhof_values(y, x, s2, cnt, z2, ell):
 
 def _eval_panels(f, edges, *args):
     """Evaluate the embedded pair on panels (rows of ``edges``) in one call
-    f(nodes, *args), nodes holding each panel's 21 abscissae in a row; a
-    density's integrand that f stacks under it gets Kronrod values, or NaN."""
+    f(nodes, *args), 21 abscissae a row; a density's integrand that f returns
+    second gets Kronrod values, else they are NaN."""
     half = 0.5 * (edges[:, 1] - edges[:, 0])
     mid = 0.5 * (edges[:, 0] + edges[:, 1])
     ys = mid[:, None] + half[:, None] * _NODES
-    fv = f(ys, *args).reshape(-1, *ys.shape)
-    if not np.all(np.isfinite(fv)):
-        raise NumericalFailureError(float(ys[~np.isfinite(fv).all(axis=0)][0]))
-    kron = half * (fv[0] @ _WK_FULL)
-    gauss = half * (fv[0] @ _WG_FULL)
-    dens = half * (fv[1] @ _WK_FULL) if len(fv) > 1 else np.full_like(half, math.nan)
+    fv = f(ys, *args)
+    fv, *dv = fv if isinstance(fv, tuple) else (fv,)
+    for v in (fv, *dv):
+        if not np.isfinite(v).all():
+            raise NumericalFailureError(float(ys[~np.isfinite(v)][0]))
+    kron = half * (fv @ _WK_FULL)
+    gauss = half * (fv @ _WG_FULL)
+    dens = half * (dv[0] @ _WK_FULL) if dv else np.full_like(half, math.nan)
     return kron, np.abs(kron - gauss), dens
 
 
@@ -491,7 +492,7 @@ def cdf_many(xs, spec: "Spectrum", cfg: QuadratureConfig | None = None,
             abs_error_estimate=res.error_estimate,
             nodes_used=res.nodes_used,
             method=method,
-            converged=res.converged, density=res.density,
+            converged=res.converged, density=res.density / (math.pi * x),
         ))
     return out
 

@@ -396,14 +396,14 @@ def complex_shifted(y, x, spec, density=False):
     """The shifted-contour integrand in complex arithmetic, one factor per
     eigenvalue: Im of exp((1-y) + i y rt + sum(z2 (1/w - 1)/2 - log(w)/2))
     over pi (y - 1/(1 - i rt)).  On s = ((1 - i rt) y - 1)/x that is
-    e^(K(s) - sx) s'(y) / (pi s); the ``density``'s has ds in place of
-    ds/s, with the sign of d/dx e^(-sx) = -s e^(-sx)."""
+    e^(K(s) - sx) s'(y) / (pi s); the ``density``'s, times pi x, has ds in
+    place of ds/s, with the sign of d/dx e^(-sx) = -s e^(-sx)."""
     s2, z2, rt = spec.sigma ** 2, spec.zeta ** 2, math.sqrt(spec.ell)
     w = 1.0 - 2.0 * (y[:, None] - 1.0) * (s2 / x) + 2.0j * y[:, None] * (s2 * rt / x)
     expo = ((1.0 - y) + 1.0j * y * rt
             + (0.5 * z2 * (1.0 / w - 1.0) - 0.5 * np.log(w)).sum(axis=1))
     if density:
-        return -np.exp(expo) * (1.0 - 1.0j * rt) / (math.pi * x)
+        return -np.exp(expo) * (1.0 - 1.0j * rt)
     return np.exp(expo) / (math.pi * (y - 1.0 / (1.0 - 1.0j * rt)))
 
 
@@ -423,7 +423,7 @@ class TestRealArithmeticKernels:
         # value, whose imaginary part the kernels return.  Both forms round
         # the phase y sqrt(ell) alike, losing about |phase| * eps, so y stays
         # below 40, where the integrals get their mass.  The shifted kernel
-        # stacks the density's integrand under F's.
+        # also returns the density's integrand, times pi x.
         kernel, refs = ((_shifted_values, [complex_shifted,
                                            functools.partial(complex_shifted, density=True)])
                         if shifted else (_imhof_values, [complex_imhof]))
@@ -438,8 +438,8 @@ class TestRealArithmeticKernels:
                 spec = Spectrum(np.repeat(spec.sigma[:3], 3),
                                 np.resize(spec.zeta, 9))
             xs = rng.uniform(0.1, 5.0, 3) * spec.mean()
-            got = kernel(ys, xs, *spec.groups).reshape(len(refs), *ys.shape)
-            for values, ref in zip(got, refs):
+            got = kernel(ys, xs, *spec.groups)
+            for values, ref in zip(got if shifted else [got], refs):
                 for row, x in zip(range(3), xs):
                     want = ref(ys[row], x, spec)
                     assert np.all(np.abs(values[row] - want.imag) <= 1e-13 * np.abs(want))
