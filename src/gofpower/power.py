@@ -215,11 +215,12 @@ def asymptotic_power(alpha: float, null_spec: Spectrum, alt_spec: Spectrum,
     From the null's two-cumulant scaled chi-square quantile, Newton's method
     solves log tail(x) = log tail(x*) on F0's smaller tail (1 - F0 when alpha
     < 1/2), its slope from F0's density or, on the real axis, the secant of
-    the last two points.  A step is clamped to [x/4, 4x]; one leaving the
-    sign bracket bisects it or, while an end is open, moves x outward by 1.1,
-    the factor squared each time.  It stops when |F0(x) - (1 - alpha)| <=
-    ROOT_TOL or the bracket is a few ulp wide: about 4 ``cdf`` calls per
-    alpha, the alternative's included.
+    the last two points.  A step is clamped to [x/4, 4x].  One that leaves
+    the sign bracket, or in a closed one is not under half the step before
+    the last (as in rtsafe, Press et al.), bisects the bracket or, while an
+    end is open, moves x outward by 1.1, the factor squared each time.  It
+    stops when |F0(x) - (1 - alpha)| <= ROOT_TOL or the bracket is a few ulp
+    wide: about 4 ``cdf`` calls per alpha, the alternative's included.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
@@ -228,7 +229,7 @@ def asymptotic_power(alpha: float, null_spec: Spectrum, alt_spec: Spectrum,
     # h rises through 0 at x*: -log((1 - F0) / alpha), or log(F0 / (1 - alpha))
     sign, goal = (-1.0, math.log(alpha)) if alpha < 0.5 else (1.0, math.log(target))
     lo, hi = 0.0, math.inf   # F0 < target at lo, > target at hi; 0 and inf are open
-    x, prev, step = _critical_start(alpha, null_spec), None, 1.1
+    x, prev, step, dx = _critical_start(alpha, null_spec), None, 1.1, (math.inf, math.inf)
     for _ in range(200):
         ev = cdf(x, null_spec, cfg)
         r = ev.value - target
@@ -242,13 +243,12 @@ def asymptotic_power(alpha: float, null_spec: Spectrum, alt_spec: Spectrum,
             slope = (h - prev[1]) / (x - prev[0])
         prev = (x, h)
         new = min(max(x - h / slope, 0.25 * x), 4.0 * x) if slope > 0.0 else math.nan
-        if not lo < new < hi:   # also where there is no step
-            if lo > 0.0 and hi < math.inf:
+        closed = lo > 0.0 and hi < math.inf
+        if not lo < new < hi or closed and abs(new - x) > 0.5 * dx[0]:
+            if closed:
                 new = 0.5 * (lo + hi)
             else:
                 new, step = (x * step if r < 0.0 else x / step), step * step
-                if math.isinf(new):
-                    raise RuntimeError("failed to bracket the critical value")
-        x = new
+        dx, x = (dx[1], abs(new - x)), new
     raise RuntimeError(  # pragma: no cover - would need a discontinuous F0
         "Newton's method failed to localize the critical value")

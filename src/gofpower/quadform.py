@@ -226,8 +226,7 @@ def _eval_panels(f, edges, *args):
     half = 0.5 * (edges[:, 1] - edges[:, 0])
     mid = 0.5 * (edges[:, 0] + edges[:, 1])
     ys = mid[:, None] + half[:, None] * _NODES
-    fv = f(ys, *args)
-    fv, *dv = fv if isinstance(fv, tuple) else (fv,)
+    fv, *dv = out if isinstance(out := f(ys, *args), tuple) else (out,)
     for v in (fv, *dv):
         if not np.isfinite(v).all():
             raise NumericalFailureError(float(ys[~np.isfinite(v)][0]))

@@ -3,6 +3,7 @@
 Frozen values computed with tests/oracles.py.
 """
 
+import dataclasses
 import io
 import math
 import warnings
@@ -306,6 +307,27 @@ def test_critical_value_cost_and_range(case, monkeypatch):
         got = asymptotic_power(alpha, alt.null(), alt)
         assert len(calls) <= (5 if alpha in (0.01, 0.05, 0.1) else 16), (alpha, len(calls))
         assert alpha - 1e-7 <= got <= 1.0, (alpha, got)
+
+
+@pytest.mark.parametrize("scale", [0.01, 0.5, 2.0])
+def test_critical_value_survives_a_wrong_slope(scale, null10, alt61, monkeypatch):
+    # the density only steers the steps.  One 100 times too small overshoots
+    # every time and one half too small lands at the mirror point; the clamp
+    # to [x/4, 4x], the bisection of the sign bracket and the rule that each
+    # step inside it halve still find x*
+    calls = []
+
+    def skewed_cdf(*args, **kwargs):
+        calls.append(args[0])
+        ev = cdf(*args, **kwargs)
+        return dataclasses.replace(ev, density=ev.density * scale)
+
+    monkeypatch.setattr(power, "cdf", skewed_cdf)
+    for alpha in (0.01, 0.05, 0.1, 0.5, 0.999):
+        calls.clear()
+        want = 1.0 - noncentral_chi2_cdf(9, 4.0, chi2_quantile(9, 1.0 - alpha))
+        assert asymptotic_power(alpha, null10, alt61) == pytest.approx(want, abs=1e-9)
+        assert len(calls) <= 50, (alpha, len(calls))
 
 
 @pytest.mark.parametrize("alpha", [1e-6, 0.01, 0.05, 0.1, 0.5, 0.999])
