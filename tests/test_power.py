@@ -313,8 +313,9 @@ def test_critical_value_cost_and_range(case, monkeypatch):
 def test_critical_value_survives_a_wrong_slope(scale, null10, alt61, monkeypatch):
     # the density only steers the steps.  One 100 times too small overshoots
     # every time and one half too small lands at the mirror point; the clamp
-    # to [x/4, 4x], the bisection of the sign bracket and the rule that each
-    # step inside it halve still find x*
+    # to [x/4, 4x], the bisection of the sign bracket and the rule that a
+    # step in a closed bracket be under half the one before the last still
+    # find x*
     calls = []
 
     def skewed_cdf(*args, **kwargs):
