@@ -3,10 +3,11 @@
 With F0 the null CDF (zero perturbation) and Fa the alternative CDF, the
 power function is traced by the points (1 - F0(x), 1 - Fa(x)) as x runs
 over a grid.  Each CDF on the grid is read off a Chebyshev interpolant in
-u = sqrt(x) whose degree doubles until it predicts its own new nodes, with
-an error bound.  Only the point query ``asymptotic_power`` solves for a
-critical value: by Newton's method on the log of F0's smaller tail, with
-F0's density, from a two-cumulant scaled chi-square quantile.
+u = sqrt(x), summed from its coefficients, whose degree doubles until it
+predicts its own new nodes, with an error bound.  Only the point query
+``asymptotic_power`` solves for a critical value: by Newton's method on
+the log of F0's smaller tail, with F0's density, from a two-cumulant
+scaled chi-square quantile.
 """
 
 from __future__ import annotations
@@ -90,30 +91,18 @@ def pvalue(x_statistic: float, null_spec: Spectrum,
     return 1.0 - cdf(x_statistic, null_spec, cfg).value
 
 
-def _barycentric(u: np.ndarray, nodes: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Interpolant through (nodes, values) at u, by the second-kind
-    barycentric formula for Chebyshev points of the second kind.
-
-    The sums are accumulated node by node, so memory stays O(len(u)).
+def _chebyshev(values: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Interpolant through values at t_j = cos(j pi / n), j = 0..n, at t in
+    [-1, 1]: its Chebyshev coefficients are a DCT-I, the real FFT of the even
+    extension, summed by Clenshaw's recurrence (Trefethen, ATAP, chs. 3, 19).
     """
-    num = np.zeros_like(u)
-    den = np.zeros_like(u)
-    hit = np.full(u.shape, -1)
-    last = nodes.size - 1
-    for j, (t, f) in enumerate(zip(nodes.tolist(), values.tolist())):
-        w = (0.5 if j in (0, last) else 1.0) * (-1.0 if j % 2 else 1.0)
-        d = u - t
-        exact = d == 0.0
-        if exact.any():
-            hit[exact] = j
-            d[exact] = 1.0
-        c = w / d
-        num += c * f
-        den += c
-    out = num / den
-    on_node = hit >= 0
-    out[on_node] = values[hit[on_node]]
-    return out
+    n = values.size - 1
+    c = np.fft.rfft(np.concatenate((values, values[-2:0:-1]))).real / n
+    c[[0, -1]] *= 0.5
+    b1 = b2 = np.zeros_like(t)
+    for ck in c[:0:-1].tolist():
+        b1, b2 = ck + 2.0 * t * b1 - b2, b1
+    return c[0] + t * b1 - b2
 
 
 def _cdf_on_grid(xs: np.ndarray, spec: Spectrum, cfg: QuadratureConfig):
@@ -135,23 +124,22 @@ def _cdf_on_grid(xs: np.ndarray, spec: Spectrum, cfg: QuadratureConfig):
     evals: list = []
     # the first points are spent only if at least one check can follow
     if 2 * (2 * n + 1) < xs.size:
-        nodes = mid + half * np.cos(np.arange(n + 1) * (math.pi / n))
-        nodes[0], nodes[-1] = hi, lo
-        evals = cdf_many(nodes * nodes, spec, cfg)
+        u = mid + half * np.cos(np.arange(n + 1) * (math.pi / n))
+        u[0], u[-1] = hi, lo
+        evals = cdf_many(u * u, spec, cfg)
         values = np.array([e.value for e in evals])
         while 2 * (2 * n + 1) < xs.size:
-            new_u = mid + half * np.cos((2 * np.arange(n) + 1) * (math.pi / (2 * n)))
-            new = cdf_many(new_u * new_u, spec, cfg)
+            new_t = np.cos((2 * np.arange(n) + 1) * (math.pi / (2 * n)))
+            new = cdf_many((mid + half * new_t) ** 2, spec, cfg)
             new_f = np.array([e.value for e in new])
-            miss = float(np.max(np.abs(_barycentric(new_u, nodes, values) - new_f)))
+            miss = float(np.max(np.abs(_chebyshev(values, new_t) - new_f)))
             evals += new
-            nodes = np.insert(new_u, np.arange(n + 1), nodes)
             values = np.insert(new_f, np.arange(n + 1), values)
             n *= 2
             worst = max(e.abs_error_estimate for e in evals)
             if miss <= max(cfg.abs_tol, worst):
                 lebesgue = 2.0 / math.pi * math.log(n + 1) + 1.0
-                curve = _barycentric(np.sqrt(xs), nodes, values)
+                curve = _chebyshev(values, (np.sqrt(xs) - mid) / half)
                 return np.clip(curve, 0.0, 1.0), evals, miss + lebesgue * worst
     on_grid = cdf_many(xs, spec, cfg)
     return (np.array([e.value for e in on_grid]), evals + on_grid,

@@ -30,6 +30,7 @@ from gofpower.model import (
 from gofpower import power, svgplot
 from gofpower.power import (
     _cdf_on_grid,
+    _chebyshev,
     asymptotic_power,
     default_grid,
     power_curve,
@@ -153,6 +154,36 @@ class TestPowerCurve:
         assert isinstance(curve.alpha[0], np.float64)
         assert buf.getvalue().splitlines()[-2] == (
             f'<polyline fill="none" stroke="black" stroke-width="1.5" points="{pts}"/>')
+
+
+def lobatto(n):
+    return np.cos(np.arange(n + 1) * (math.pi / n))
+
+
+class TestChebyshev:
+    @pytest.mark.parametrize("n", [1, 2, 16, 128, 256])
+    def test_reproduces_a_polynomial_of_its_degree(self, n):
+        rng = np.random.default_rng(n)
+        coef = rng.standard_normal(n + 1) * 0.9 ** np.arange(n + 1)
+        poly = np.polynomial.Chebyshev(coef)
+        t = rng.uniform(-1.0, 1.0, 200)
+        scale = np.abs(coef).sum()
+        assert np.abs(_chebyshev(poly(lobatto(n)), t) - poly(t)).max() <= 1e-14 * scale
+
+    @pytest.mark.parametrize("n", [4, 16, 64])
+    def test_reproduces_each_chebyshev_polynomial(self, n):
+        # T_k through the points is T_k; at t = cos(theta) it is cos(k theta)
+        theta = np.linspace(0.0, math.pi, 37)
+        for k in range(n + 1):
+            got = _chebyshev(np.cos(k * np.arange(n + 1) * (math.pi / n)), np.cos(theta))
+            assert np.abs(got - np.cos(k * theta)).max() <= 1e-13, k
+
+    def test_endpoints_return_their_values(self):
+        rng = np.random.default_rng(7)
+        for n in (16, 32, 64, 128, 256):
+            values = np.sort(rng.uniform(0.0, 1.0, n + 1))[::-1]
+            got = _chebyshev(values, np.array([1.0, -1.0]))
+            assert np.abs(got - values[[0, -1]]).max() <= 16 * np.spacing(1.0), n
 
 
 @pytest.fixture(scope="module")
