@@ -42,8 +42,6 @@ __all__ = ["Spectrum", "compute_spectrum"]
 
 # exponent cap: exp(x) overflows just above x = 709
 _EXP_OVERFLOW = 700.0
-# relative gap under which two variances are treated as one eigenvalue group
-_GROUP_RTOL = 1e-12
 # secular gaps solved together: the working arrays are _BLOCK x (distinct p0)
 _BLOCK = 128
 # 10 sweeps were measured at most; bisection alone takes under 2,100
@@ -56,20 +54,13 @@ def _groups(sigma, zeta):
 
     The distribution depends on the zetas of an eigenvalue group only
     through their summed squares, so the grouped integrand is exactly the
-    ungrouped one at a fraction of the cost when eigenvalues repeat.
+    ungrouped one at a fraction of the cost when eigenvalues repeat.  A
+    group is a run of equal sigma^2; ``eigendecompose`` repeats a tie exactly.
     """
     s2 = sigma ** 2
-    lead = s2[0]
-    g_s, g_n, g_z = [lead], [0], [0.0]
-    for s, z in zip(s2, zeta ** 2):
-        if lead - s > _GROUP_RTOL * lead:
-            lead = s
-            g_s.append(s)
-            g_n.append(0)
-            g_z.append(0.0)
-        g_n[-1] += 1
-        g_z[-1] += z
-    arrays = (np.array(g_s), np.array(g_n, dtype=float), np.array(g_z))
+    starts = np.flatnonzero(np.concatenate(([True], s2[1:] != s2[:-1])))
+    arrays = (s2[starts], np.diff(starts, append=s2.size).astype(float),
+              np.add.reduceat(zeta ** 2, starts))
     for arr in arrays:
         arr.flags.writeable = False
     return (*arrays, int(s2.size))

@@ -426,6 +426,17 @@ class TestSpectrumType:
         spec = Spectrum(np.tile([1.0, 2.0], 20), np.arange(40.0))
         assert spec.zeta.tolist() == list(range(1, 40, 2)) + list(range(0, 40, 2))
 
+    def test_groups_are_runs_of_exact_ties(self):
+        s2, cnt, z2, ell = Spectrum([1.0, math.nextafter(1.0, 0.0)], [0.5, 0.25]).groups
+        assert s2.tolist() == [1.0, math.nextafter(1.0, 0.0) ** 2]
+        assert cnt.tolist() == [1.0, 1.0] and z2.tolist() == [0.25, 0.0625]
+        assert ell == 2
+        s2, cnt, z2, ell = Spectrum([1.0, 2.0, 1.0, 1.0], [0.5, 3.0, 1.0, 2.0]).groups
+        assert s2.tolist() == [4.0, 1.0] and cnt.tolist() == [1.0, 3.0]
+        assert z2.tolist() == [9.0, 0.25 + 1.0 + 4.0]
+        assert ell == 4
+        assert not any(arr.flags.writeable for arr in (s2, cnt, z2))
+
     def test_rejects_empty(self):
         with pytest.raises(DimensionError):
             Spectrum([], [])
