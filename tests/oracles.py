@@ -86,7 +86,8 @@ def chi2_quantile(df: float, p: float, tol: float = 1e-12) -> float:
 
 def noncentral_chi2_quantile(df: float, noncentrality: float, p: float,
                              tol: float = 1e-12) -> float:
-    """Inverse of noncentral_chi2_cdf by bisection."""
+    """Inverse of noncentral_chi2_cdf by bisection to a relative width tol
+    in x, so that a quantile near 0 keeps its leading digits."""
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie in (0, 1)")
     lo, hi = 0.0, max(1.0, df + noncentrality)
@@ -100,7 +101,7 @@ def noncentral_chi2_quantile(df: float, noncentrality: float, p: float,
             lo = mid
         else:
             hi = mid
-        if hi - lo <= tol * max(1.0, hi):
+        if hi - lo <= tol * hi:
             break
     return 0.5 * (lo + hi)
 

@@ -91,9 +91,10 @@ def test_noncentral_pdf_against_mpmath_bessel():
 
 def test_noncentral_quantile_roundtrip():
     for df, lam in ((1, 2.0), (9, 4.0), (9, 60.0)):
-        for p in (0.01, 0.05, 0.5, 0.999, 1.0 - 1e-6):
+        for p in (1e-10, 1e-6, 0.01, 0.05, 0.5, 0.999, 1.0 - 1e-6):
             q = noncentral_chi2_quantile(df, lam, p)
-            assert noncentral_chi2_cdf(df, lam, q) == pytest.approx(p, abs=1e-10)
+            # relative to p in the lower tail, to 1e-10 in the upper
+            assert abs(noncentral_chi2_cdf(df, lam, q) - p) <= min(1e-9 * p, 1e-10)
             assert st.ncx2.ppf(p, df, lam) == pytest.approx(q, rel=1e-9)
 
 
