@@ -1,6 +1,8 @@
 """Command-line interface: commands, outputs, exit codes."""
 
+import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,8 @@ from oracles import chi2_cdf, noncentral_chi2_cdf
 
 from gofpower import cli
 from gofpower.cli import EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK, main
+from gofpower.model import builtin_examples
+from gofpower.power import default_grid, power_curve
 from gofpower.quadform import QuadratureConfig
 
 CHI9_95_OVER_10 = 1.691898
@@ -260,6 +264,22 @@ class TestExamplesCommand:
         assert code == EXIT_NUMERICAL
         assert "synthetic failure" in err
         assert list(tmp_path.iterdir()) == []
+
+
+def test_committed_example_outputs_match_the_code():
+    # the curves and node counts in the repository root are what
+    # `gofpower examples` writes at its defaults
+    root = Path(__file__).resolve().parent.parent
+    with open(root / "costs.csv", encoding="utf-8") as fh:
+        costs = {row["example"]: row for row in csv.DictReader(fh)}
+    for name, model, pert in builtin_examples():
+        curve = power_curve(model, pert)
+        table = np.loadtxt(root / f"{name}_curve.csv", delimiter=",", skiprows=1)
+        assert table[:, 0].tobytes() == default_grid().tobytes(), name
+        assert np.abs(table[:, 1] - curve.f0).max() <= 1e-9, name
+        assert np.abs(table[:, 2] - curve.fa).max() <= 1e-9, name
+        assert (int(costs[name]["q0"]), int(costs[name]["qa"])) == (
+            curve.meta.max_nodes_null, curve.meta.max_nodes_alt), name
 
 
 class TestPoissonModelSpec:
