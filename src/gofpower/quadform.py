@@ -11,9 +11,11 @@ representations:
   large.
 
 Each integral bisects panels of the embedded 10-point Gauss / 21-point
-Kronrod pair on a window fixed before the first panel: the shifted
-contour's a-priori bound puts it past a negligible tail, which its error
-estimate includes, and the real-axis form's tail is summed over
+Kronrod pair on a window fixed before the first panel.  On the shifted
+contour, a y-independent a-priori bound sizes one head for every x, and
+each x keeps the fewest of its panels past whose end a bound that
+tightens with y puts the tail below 1e-4 abs_tol; that bound is part of
+its error estimate.  The real-axis form's tail is summed over
 half-periods by Wynn's epsilon algorithm.  The shifted contour's first
 panel starts halved toward 0, as bisection would halve it, until it is no
 wider than 1.5 times the distance of the integrand's pole from the axis,
@@ -22,6 +24,7 @@ so that a point mostly meets tolerance on its first integrand call.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import functools
 import heapq
@@ -52,8 +55,10 @@ _MAX_BISECTIONS = 200
 _TAIL_ROUND = 8
 _TAIL_PANELS = 64
 # shifted contour: its first panel is no wider than this many times the
-# distance of the integrand's pole from the axis
+# distance of the integrand's pole from the axis, and a point's window ends
+# where the tail bound falls to this share of abs_tol
 _POLE_PANEL = 1.5
+_TAIL_SHARE = 1e-4
 
 
 class NumericalFailureError(ArithmeticError):
@@ -424,6 +429,38 @@ def _imhof_windows(xs, s2, cnt, z2, ell: int):
     return y.tolist(), (math.pi / np.abs(now)).tolist()
 
 
+def _tail_bound(spec: "Spectrum") -> Callable:
+    """The function (x, y) -> log T, where T bounds the integral of |f| over
+    [y, inf) on the shifted contour at x (T = inf for y <= 1/(1 + ell)).
+
+    With a_k = sigma_k^2 / x and c = ell/(1 + ell), every y' >= y has
+    |w_k|^2 >= M_k = max(c, 4 ell y^2 a_k^2): the first is its minimum over
+    y', (1 + 2a_k)^2 c, the second (Im w_k)^2.  So Re(1/w_k) <= M_k^(-1/2),
+    and with |d| >= y' - 1/(1 + ell),
+    T = exp(1 - y - sum cnt_k/4 log M_k + sum z2_k/2 (M_k^(-1/2) - 1))
+    / (pi (y - 1/(1 + ell))).  The groups with M_k > c are a prefix of the
+    descending sigma^2, so T costs a bisection and the spectrum's running
+    sums.  T never exceeds the y-independent bound rhs e^{5/4-y} /
+    (pi (y - 1/2)), since (ell/4) log c >= -1/4 and M_k^(-1/2) <= c^(-1/2).
+    """
+    ell = spec.ell
+    neg_s2, cnt, log_s2, z2, z2_s2 = spec.tail_sums
+    c = ell / (1.0 + ell)
+    root_c, log_c, pole = math.sqrt(c), math.log(c), 1.0 / (1.0 + ell)
+    two_rt, z_all = 2.0 * math.sqrt(ell), z2[-1]
+
+    def log_tail(x: float, y: float) -> float:
+        if y <= pole:
+            return math.inf
+        r = two_rt * y / x   # M_k = (r sigma_k^2)^2 on the prefix
+        p = bisect.bisect_right(neg_s2, -root_c / r)
+        log_m = 0.5 * (cnt[p] * math.log(r) + log_s2[p]) + 0.25 * (ell - cnt[p]) * log_c
+        shift = 0.5 * (z2_s2[p] / r + (z_all - z2[p]) / root_c - z_all)
+        return 1.0 - y - log_m + shift - math.log(math.pi * (y - pole))
+
+    return log_tail
+
+
 def cdf_many(xs, spec: "Spectrum", cfg: QuadratureConfig | None = None,
              method: Method | None = None) -> list[CdfEvaluation]:
     """CDF of sum_k sigma_k^2 (Z_k + zeta_k)^2 at each x of ``xs``, in order.
@@ -464,7 +501,19 @@ def cdf_many(xs, spec: "Spectrum", cfg: QuadratureConfig | None = None,
         # the pole of 1/d lies sqrt(ell)/(1 + ell) off the axis
         n0 = max(4, math.ceil(upper * math.sqrt(ell) / (4.0 * math.pi)))
         head = _panels(upper, n0, _POLE_PANEL * math.sqrt(ell) / (1.0 + ell))
-        integrals = (_integral(cfg, head, tail_err=tail_err) for _ in positive)
+        # each x keeps the fewest head panels past whose end the y-dependent
+        # bound T is at most _TAIL_SHARE abs_tol, and adds T to its estimate;
+        # T never exceeds tail_err, so no window grows
+        log_tail, ends = _tail_bound(spec), [b for _, b in head]
+        log_eps = math.log(_TAIL_SHARE * cfg.abs_tol)
+
+        def window(x):
+            j = bisect.bisect_left(ends, True, key=lambda y: log_tail(x, y) <= log_eps)
+            return ((head, tail_err) if j == len(ends)
+                    else (head[:j + 1], math.exp(log_tail(x, ends[j]))))
+
+        integrals = (_integral(cfg, h, tail_err=t)
+                     for h, t in map(window, positive.tolist()))
     else:
         heads, halves = _imhof_windows(positive, s2, cnt, z2, ell)
         # one head panel per 2 pi: the phase runs at about unit speed

@@ -30,6 +30,7 @@ every p0 > 0 has a limit law, whatever its ratio max p0 / min p0.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -116,6 +117,18 @@ class Spectrum:
         the zero perturbation without a second eigendecomposition.
         """
         return Spectrum(self.sigma, np.zeros(self.ell))
+
+    @functools.cached_property
+    def tail_sums(self) -> tuple:
+        """What the shifted contour's tail bound reads per point, built on
+        first use: -sigma^2 per group (ascending, for ``bisect``), then the
+        running sums over the groups of multiplicity, multiplicity times
+        log sigma^2, summed zeta^2 and summed zeta^2 / sigma^2, each led by 0.
+        """
+        s2, cnt, z2, _ = self.groups
+        sums = np.zeros((4, s2.size + 1))
+        np.cumsum([cnt, cnt * np.log(s2), z2, z2 / s2], axis=1, out=sums[:, 1:])
+        return ((-s2).tolist(), *sums.tolist())
 
     def mean(self) -> float:
         """E[X] = sum sigma_k^2 (1 + zeta_k^2)."""

@@ -164,6 +164,44 @@ def noncentral_chi2_pdf(df: float, noncentrality: float, x: float) -> float:
     return total
 
 
+def shifted_tail_masses(sigma, zeta, x: float, edges, past: float = 40.0,
+                        width: float = 0.1) -> list:
+    """Integral of |g| over [Y, inf) for each Y of the ascending ``edges``,
+    where g is the shifted-contour integrand in complex form, one factor per
+    term: exp((1-y) + i y rt + sum(z2 (1/w - 1)/2 - log(w)/2)) over
+    pi (y - 1/(1 - i rt)), w = 1 - 2(y - 1) s2/x + 2i y rt s2/x, rt = sqrt(ell).
+    The real-valued integrand of F is Im g, so these bound its tail too.
+
+    20-point Gauss-Legendre on sub-panels no wider than ``width`` between
+    consecutive edges, and on to ``past`` beyond the last, where |g| has
+    fallen by about e^-past; the masses are the suffix sums.
+    """
+    s2 = np.asarray(sigma, dtype=float) ** 2
+    z2 = np.asarray(zeta, dtype=float) ** 2
+    rt = math.sqrt(s2.size)
+    nodes, weights = np.polynomial.legendre.leggauss(20)
+    stops = [*edges, edges[-1] + past]
+    lo, hi, owner = [], [], []   # sub-panels and the edge interval of each
+    for j, (a, b) in enumerate(zip(stops[:-1], stops[1:])):
+        cuts = np.linspace(a, b, max(1, math.ceil((b - a) / width)) + 1)
+        lo += cuts[:-1].tolist()
+        hi += cuts[1:].tolist()
+        owner += [j] * (cuts.size - 1)
+    lo, hi = np.array(lo), np.array(hi)
+    mass = np.zeros(lo.size)
+    for k in range(0, lo.size, 32):   # 640 nodes at a time
+        half = 0.5 * (hi[k:k + 32] - lo[k:k + 32])
+        y = (lo[k:k + 32, None] + half[:, None] * (nodes + 1.0)).ravel()
+        w = (1.0 - 2.0 * (y[:, None] - 1.0) * (s2 / x)
+             + 2.0j * y[:, None] * (s2 * rt / x))
+        log_mod = ((1.0 - y) + (0.5 * z2 * ((1.0 / w).real - 1.0)
+                                - 0.5 * np.log(np.abs(w))).sum(axis=1))
+        g = np.exp(log_mod) / (math.pi * np.abs(y - 1.0 / (1.0 - 1.0j * rt)))
+        mass[k:k + 32] = (g.reshape(-1, 20) @ weights) * half
+    pieces = np.bincount(owner, weights=mass, minlength=len(edges))
+    return np.cumsum(pieces[::-1])[::-1].tolist()
+
+
 def secular_spectrum(p0, a, digits: int = 50):
     """Nonzero spectrum of B = H diag(1/p0) H in ``digits``-digit decimals.
 

@@ -179,10 +179,12 @@ def test_criterion_5_extended_1e6(cases, spectra, idx):
 
 @pytest.mark.xfail(
     strict=True,
-    reason="genuine finite-n bias: at n = 10^6 the fourth benchmark's "
-           "empirical power still sits about 0.015 from the limit at small "
-           "alpha (its perturbation depletes bin 12 by 41%); the limit-law "
-           "CDF itself is verified against direct simulation to ~2e-4")
+    reason="sampling noise at this seed, with a small finite-n bias: its "
+           "worst deviation, 0.0145 at alpha = 0.01, is about a 2 sd draw, "
+           "since over 24 seeds the deviation there has sd 0.0068 (mean "
+           "-0.0027); the bias, -0.0014 at alpha = 0.25, is far below the "
+           "gate.  The limit-law CDF itself is verified against direct "
+           "simulation to ~2e-4")
 def test_criterion_5_example4_extended_1e6(cases, spectra):
     name, model, pert = cases[3]
     worst = _mc_power_deviation(model, pert, 10 ** 6, SEED + 30, spectra[name])

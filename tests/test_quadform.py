@@ -21,9 +21,12 @@ from oracles import (
     chi2_cdf,
     noncentral_chi2_pdf,
     noncentral_chi2_quantile,
+    shifted_tail_masses,
 )
 
 from gofpower.model import (
+    Perturbation,
+    ProbabilityModel,
     alternating_perturbation,
     builtin_examples,
     model_from_spec,
@@ -546,6 +549,101 @@ def test_head_estimate_holds_on_r0_model85_grid(x):
     ev = cdf(x, Spectrum(ref["sigma"], ref["zeta"]), method=Method.SHIFTED_CONTOUR)
     assert ev.converged
     assert abs(ev.value - HEAD_ESTIMATE_GRID[x]) <= ev.abs_error_estimate
+
+
+# seeded models for the shifted contour's tail bound: (m, tied levels or 0
+# for all distinct, log10 max/min p0, sum zeta^2 as a share of the largest
+# that the stability threshold lets onto the shifted contour)
+TAIL_BOUND_MODELS = [(2, 0, 0.0, 0.0), (2, 0, 3.0, 1.0), (3, 0, 12.0, 0.5),
+                     (6, 2, 6.0, 1.0), (11, 0, 12.0, 1.0), (26, 3, 12.0, 0.3),
+                     (60, 0, 8.0, 1.0), (201, 4, 12.0, 1.0), (201, 1, 0.0, 0.0)]
+
+
+def tail_bound_spectrum(case):
+    if case == len(TAIL_BOUND_MODELS):
+        return Spectrum(HEAD_ESTIMATE_MISS["sigma"], HEAD_ESTIMATE_MISS["zeta"])
+    m, levels, log_ratio, share = TAIL_BOUND_MODELS[case]
+    rng = np.random.default_rng([2611, case])
+    u = rng.random(levels)[rng.integers(0, levels, m)] if levels else rng.random(m)
+    p0 = 10.0 ** (log_ratio * (u - u.min()) / max(np.ptp(u), 1e-300))
+    p0 /= p0.sum()
+    a = rng.standard_normal(m)
+    a -= a.mean()
+    ell = m - 1
+    top = 2.0 * math.log(DEFAULT_CONFIG.stability_threshold) / math.sqrt(1.0 + 1.0 / ell)
+    a *= math.sqrt(0.999 * share * top / float(np.sum(a * a / p0)))
+    spec = compute_spectrum(ProbabilityModel(p0), Perturbation(a - a.mean()))
+    assert spec.stability_rhs <= DEFAULT_CONFIG.stability_threshold
+    return spec
+
+
+def shifted_heads(spec, xs, monkeypatch):
+    """cdf_many's shifted head for the spectrum, and each point's window:
+    the panels it integrates and the tail term of its estimate."""
+    full, windows = [], []
+    panels, integral = quadform._panels, quadform._integral
+
+    def record_panels(*args):
+        full.append(panels(*args))
+        return full[-1]
+
+    def record_integral(cfg, head, **kwargs):
+        windows.append((head, kwargs["tail_err"]))
+        return integral(cfg, head, **kwargs)
+
+    monkeypatch.setattr(quadform, "_panels", record_panels)
+    monkeypatch.setattr(quadform, "_integral", record_integral)
+    evs = cdf_many(xs, spec)
+    monkeypatch.undo()
+    assert all(ev.method is Method.SHIFTED_CONTOUR and ev.converged for ev in evs)
+    return full[0], windows
+
+
+TAIL_X = (1e-3, 0.1, 0.5, 1.0, 2.0, 6.0)   # times the mean
+
+
+@pytest.mark.parametrize("case", range(len(TAIL_BOUND_MODELS) + 1))
+def test_tail_bound_holds_at_every_head_edge(case, monkeypatch):
+    # at every edge Y of the shifted head, for the alternative and its null,
+    # the y-dependent bound T(Y) is at least a dense integral of |g| past Y
+    # (tests/oracles.py), and at most the y-independent bound
+    # stability_rhs e^{5/4-Y} / (pi (Y - 1/2)) that sizes the head
+    alt = tail_bound_spectrum(case)
+    for spec in (alt, alt.null()):
+        ell, z2 = spec.ell, float(spec.zeta @ spec.zeta)
+        log_rhs = 0.5 * math.sqrt(1.0 + 1.0 / ell) * z2
+        log_tail = quadform._tail_bound(spec)
+        xs = [c * spec.mean() for c in TAIL_X]
+        head, _ = shifted_heads(spec, xs, monkeypatch)
+        edges = [b for _, b in head if b > 1.0 / (1.0 + ell)]
+        for x in xs:
+            masses = shifted_tail_masses(spec.sigma, spec.zeta, x, edges)
+            for y, mass in zip(edges, masses):
+                assert mass <= math.exp(log_tail(x, y)), (x, y)
+                if y > 0.5:
+                    fixed = 1.25 + log_rhs - y - math.log(math.pi * (y - 0.5))
+                    assert log_tail(x, y) <= fixed + 1e-12, (x, y)
+
+
+@pytest.mark.parametrize("case", range(len(TAIL_BOUND_MODELS) + 1))
+def test_shifted_heads_are_prefixes_past_a_small_tail(case, monkeypatch):
+    # each point integrates the fewest panels of the shared head past whose
+    # end T <= 1e-4 abs_tol, and carries that T in its estimate; where even
+    # the head's end is not that far out, the whole head and its tail term
+    alt = tail_bound_spectrum(case)
+    eps = 1e-4 * DEFAULT_CONFIG.abs_tol
+    for spec in (alt, alt.null()):
+        log_tail = quadform._tail_bound(spec)
+        xs = [c * spec.mean() for c in TAIL_X]
+        full, windows = shifted_heads(spec, xs, monkeypatch)
+        for x, (head, tail_err) in zip(xs, windows):
+            j = len(head) - 1
+            assert head == full[:j + 1]
+            if tail_err == math.exp(log_tail(x, head[-1][1])):
+                assert tail_err <= eps
+                assert j == 0 or log_tail(x, full[j - 1][1]) > math.log(eps)
+            else:
+                assert head == full and log_tail(x, full[-1][1]) > math.log(eps)
 
 
 @pytest.mark.xfail(strict=True, reason=(
