@@ -17,7 +17,6 @@ import numpy as np
 
 from . import __version__
 from .model import (
-    ModelError,
     builtin_examples,
     model_from_spec,
     perturbation_from_spec,
@@ -227,7 +226,7 @@ def main(argv=None) -> int:
     except ArithmeticError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ModelError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

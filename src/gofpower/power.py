@@ -202,15 +202,13 @@ def asymptotic_power(alpha: float, null_spec: Spectrum, alt_spec: Spectrum,
 
     From the null's two-cumulant scaled chi-square quantile, Newton's method
     solves log tail(x) = log tail(x*) on F0's smaller tail (1 - F0 when alpha
-    < 1/2), its slope from F0's density or, on the real axis, the secant of
-    the last two points.  A step is clamped to [x/4, 4x].  One that leaves
-    the sign bracket, or in a closed one is not under half the step before
-    the last (as in rtsafe, Press et al.), bisects the bracket or, while an
-    end is open, moves x outward by 1.1, the factor squared each time.  Once
-    two unclamped density steps in a row have not halved |h|, the density is
-    taken to be off and the secant steers from then on.  It stops when
-    |F0(x) - (1 - alpha)| <= ROOT_TOL or the bracket is a few ulp wide:
-    about 4 ``cdf`` calls per alpha, the alternative's included.
+    < 1/2).  Its slope is F0's density while each step halves the residual
+    h, else, and on the real axis, the secant of the last two points.  A step
+    is clamped to [x/4, 4x]; one that leaves the sign bracket bisects it or,
+    while an end is open, moves x outward by 1.1, the factor squared each
+    time.  It stops when |F0(x) - (1 - alpha)| <= ROOT_TOL or the bracket is
+    a few ulp wide: about 4 ``cdf`` calls per alpha, the alternative's
+    included, and 6-20 with a density off by up to a factor of 100.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
@@ -219,8 +217,7 @@ def asymptotic_power(alpha: float, null_spec: Spectrum, alt_spec: Spectrum,
     # h rises through 0 at x*: -log((1 - F0) / alpha), or log(F0 / (1 - alpha))
     sign, goal = (-1.0, math.log(alpha)) if alpha < 0.5 else (1.0, math.log(target))
     lo, hi = 0.0, math.inf   # F0 < target at lo, > target at hi; 0 and inf are open
-    x, prev, step, dx = _critical_start(alpha, null_spec), None, 1.1, (math.inf, math.inf)
-    steered, slow, secant = False, 0, False
+    x, prev, step = _critical_start(alpha, null_spec), None, 1.1
     for _ in range(200):
         ev = cdf(x, null_spec, cfg)
         r = ev.value - target
@@ -230,23 +227,16 @@ def asymptotic_power(alpha: float, null_spec: Spectrum, alt_spec: Spectrum,
         tail = 1.0 - ev.value if sign < 0.0 else ev.value
         h = sign * (math.log(tail) - goal) if tail > 0.0 else math.nan
         slope = ev.density / tail if tail > 0.0 else math.nan
-        # after two full density steps in a row that did not halve the
-        # residual, the secant steers for good
-        slow = slow + 1 if steered and not abs(h) <= 0.5 * abs(prev[1]) else 0
-        secant = secant or slow == 2
-        steered = slope > 0.0 and not secant
-        if prev and not steered:
+        # the density steers while its steps halve |h|; else the secant does
+        if prev and not (slope > 0.0 and abs(h) <= 0.5 * abs(prev[1])):
             slope = (h - prev[1]) / (x - prev[0])
         prev = (x, h)
-        full = x - h / slope if slope > 0.0 else math.nan
-        new = min(max(full, 0.25 * x), 4.0 * x)
-        closed = lo > 0.0 and hi < math.inf
-        if not lo < new < hi or closed and abs(new - x) > 0.5 * dx[0]:
-            if closed:
+        new = min(max(x - h / slope, 0.25 * x), 4.0 * x) if slope > 0.0 else math.nan
+        if not lo < new < hi:
+            if lo > 0.0 and hi < math.inf:
                 new = 0.5 * (lo + hi)
             else:
                 new, step = (x * step if r < 0.0 else x / step), step * step
-        steered = steered and new == full
-        dx, x = (dx[1], abs(new - x)), new
+        x = new
     raise RuntimeError(  # pragma: no cover - would need a discontinuous F0
         "Newton's method failed to localize the critical value")

@@ -22,6 +22,7 @@ from oracles import (
 )
 
 from gofpower.model import (
+    Perturbation,
     alternating_perturbation,
     builtin_examples,
     uniform_model,
@@ -314,9 +315,22 @@ def test_seeded_benchmark_power_not_below_alpha(name):
         assert abs(powers[0] - POWER_AT_1PCT[name]) <= 1e-9
 
 
+@pytest.fixture
+def cdf_calls(monkeypatch):
+    """The x of every cdf call that the power module makes."""
+    calls = []
+
+    def counting_cdf(*args, **kwargs):
+        calls.append(args[0])
+        return cdf(*args, **kwargs)
+
+    monkeypatch.setattr(power, "cdf", counting_cdf)
+    return calls
+
+
 @pytest.mark.parametrize("case", ["example1", "example2", "example3", "example4",
                                   *sorted(SEEDED_POWER_MODELS)])
-def test_critical_value_cost_and_range(case, monkeypatch):
+def test_critical_value_cost_and_range(case, cdf_calls):
     # Newton's method on the smaller tail from the two-cumulant start: at
     # most 16 cdf calls per alpha, the alternative's included, from alpha =
     # 1e-10 to 0.999, and at most 5 at the levels model-sweep asks for
@@ -326,28 +340,21 @@ def test_critical_value_cost_and_range(case, monkeypatch):
     else:
         _, model, pert = builtin_examples()[int(case[-1]) - 1]
         alt = compute_spectrum(model, pert)
-    calls = []
-
-    def counting_cdf(*args, **kwargs):
-        calls.append(args[0])
-        return cdf(*args, **kwargs)
-
-    monkeypatch.setattr(power, "cdf", counting_cdf)
     for alpha in (1e-10, 1e-6, 0.01, 0.05, 0.1, 0.5, 0.999):
-        calls.clear()
+        cdf_calls.clear()
         got = asymptotic_power(alpha, alt.null(), alt)
-        assert len(calls) <= (5 if alpha in (0.01, 0.05, 0.1) else 16), (alpha, len(calls))
+        cap = 5 if alpha in (0.01, 0.05, 0.1) else 16
+        assert len(cdf_calls) <= cap, (alpha, len(cdf_calls))
         assert alpha - 1e-7 <= got <= 1.0, (alpha, got)
 
 
-@pytest.mark.parametrize("scale", [0.01, 0.5, 2.0, 10.0, 100.0])
+@pytest.mark.parametrize("scale", [0.01, 0.1, 0.5, 2.0, 10.0, 100.0])
 def test_critical_value_survives_a_wrong_slope(scale, null10, alt61, monkeypatch):
-    # the density only steers the steps.  One 100 times too small overshoots
-    # every time and one half too small lands at the mirror point; the clamp
-    # to [x/4, 4x], the bisection of the sign bracket and the rule that a
-    # step in a closed bracket be under half the one before the last still
-    # find x*.  One 10 or 100 times too large creeps from one side, which
-    # once took up to 195 calls, until the secant takes over
+    # the density only steers the steps, and only while they halve the
+    # log-tail residual; otherwise the secant of the last two points does.
+    # One 10 or 100 times too small overshoots every time and one 2 or more
+    # times too large creeps from one side; the cap of 24 calls per alpha
+    # fails any rule that lets either creep
     calls = []
 
     def skewed_cdf(*args, **kwargs):
@@ -360,11 +367,25 @@ def test_critical_value_survives_a_wrong_slope(scale, null10, alt61, monkeypatch
         calls.clear()
         want = 1.0 - noncentral_chi2_cdf(9, 4.0, chi2_quantile(9, 1.0 - alpha))
         assert asymptotic_power(alpha, null10, alt61) == pytest.approx(want, abs=1e-9)
-        assert len(calls) <= 50, (alpha, len(calls))
+        assert len(calls) <= 24, (alpha, len(calls))
+
+
+@pytest.mark.parametrize("a", [[0.2, -0.1, -0.1], [0.2, -0.2, 0.2, -0.2]])
+@pytest.mark.parametrize("level", [1e-4, 1e-6, 1e-8, 1e-10])
+def test_critical_value_at_tiny_x(a, level, cdf_calls):
+    # alpha = 1 - level puts x* at the null's level-quantile, near zero,
+    # where the shifted contour's density is least accurate.  Uniform m = 3
+    # and 4 nulls are chi2 with ell = 2 and 3 degrees of freedom, scaled
+    m = len(a)
+    alt = compute_spectrum(uniform_model(m), Perturbation(a))
+    lam = float(np.sum(alt.zeta ** 2))
+    want = 1.0 - noncentral_chi2_cdf(m - 1, lam, chi2_quantile(m - 1, level))
+    assert asymptotic_power(1.0 - level, alt.null(), alt) == pytest.approx(want, abs=1e-9)
+    assert len(cdf_calls) <= 20, len(cdf_calls)
 
 
 @pytest.mark.parametrize("alpha", [1e-6, 0.01, 0.05, 0.1, 0.5, 0.999])
-def test_critical_value_on_the_real_axis(alpha, monkeypatch):
+def test_critical_value_on_the_real_axis(alpha, cdf_calls):
     # a null whose stability bound exceeds the threshold runs on the real
     # axis, which gives no density: Newton's slope is then the secant of the
     # log tail.  Nine unit sigma^2 with sum zeta^2 = 60 make F0 the
@@ -373,16 +394,9 @@ def test_critical_value_on_the_real_axis(alpha, monkeypatch):
     alt = Spectrum(np.ones(9), [math.sqrt(80.0)] + [0.0] * 8)
     assert null.stability_rhs > DEFAULT_CONFIG.stability_threshold
     assert math.isnan(cdf(10.0, null).density)
-    calls = []
-
-    def counting_cdf(*args, **kwargs):
-        calls.append(args[0])
-        return cdf(*args, **kwargs)
-
-    monkeypatch.setattr(power, "cdf", counting_cdf)
     want = 1.0 - noncentral_chi2_cdf(9, 80.0, noncentral_chi2_quantile(9, 60.0, 1.0 - alpha))
     assert asymptotic_power(alpha, null, alt) == pytest.approx(want, abs=1e-9)
-    assert len(calls) <= 8
+    assert len(cdf_calls) <= 8
 
 
 class TestDominance:
