@@ -79,8 +79,11 @@ class PowerCurve:
 
 def default_grid(step: float = 1.0 / 2000.0, x_max: float = 5.0) -> np.ndarray:
     """x = step, 2*step, ..., up to x_max (10,000 points at the defaults)."""
-    if step <= 0 or x_max <= 0:
-        raise ValueError("grid step and maximum must be positive")
+    for name, value in (("step", step), ("maximum", x_max)):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"grid {name} must be finite and positive, got {value!r}")
+    if step > x_max:
+        raise ValueError(f"grid step {step!r} exceeds the grid maximum {x_max!r}")
     n = int(math.floor(x_max / step + 1e-9))
     return np.arange(1, n + 1) * step
 
@@ -184,8 +187,11 @@ def power_curve(model: ProbabilityModel, pert: Perturbation,
 def _critical_start(alpha: float, spec: Spectrum) -> float:
     """Quantile at 1 - alpha of g chi2_h, matched to the law's first two
     cumulants: Wilson-Hilferty's h (1 - c + z sqrt(c))^3, c = 2 / (9 h), with
-    the normal quantile z of Abramowitz & Stegun 26.2.23 (error < 4.5e-4)."""
-    s2, cnt, z2, _ = spec.groups
+    the normal quantile z of Abramowitz & Stegun 26.2.23 (error < 4.5e-4).
+    Where its base 1 - c + z sqrt(c) is at most 0.1, deep in the lower tail,
+    it inverts the law's small-x asymptote F ~ e^(-sum zeta^2 / 2) (x/2)^(ell/2)
+    / (Gamma(ell/2 + 1) prod sigma) instead."""
+    s2, cnt, z2, ell = spec.groups
     k1 = float(s2 @ (cnt + z2))
     k2 = 2.0 * float((s2 * s2) @ (cnt + 2.0 * z2))
     t = math.sqrt(-2.0 * math.log(min(alpha, 1.0 - alpha)))
@@ -193,7 +199,11 @@ def _critical_start(alpha: float, spec: Spectrum) -> float:
         ((0.001308 * t + 0.189269) * t + 1.432788) * t + 1.0)
     c = k2 / (9.0 * k1 * k1)   # 2 / (9 h) with h = 2 k1^2 / k2
     base = 1.0 - c + math.copysign(z, 0.5 - alpha) * math.sqrt(c)
-    return k1 * max(base, 0.1) ** 3   # g h = k1
+    if base > 0.1:
+        return k1 * base ** 3   # g h = k1
+    log_f = (math.log(1.0 - alpha) + math.lgamma(0.5 * ell + 1.0)
+             + 0.5 * float(cnt @ np.log(s2) + z2.sum()))
+    return 2.0 * math.exp(2.0 / ell * log_f)
 
 
 def asymptotic_power(alpha: float, null_spec: Spectrum, alt_spec: Spectrum,

@@ -14,12 +14,13 @@ Each integral bisects panels of the embedded 10-point Gauss / 21-point
 Kronrod pair on a window fixed before the first panel.  On the shifted
 contour, a y-independent a-priori bound sizes one head for every x, and
 each x keeps the fewest of its panels past whose end a bound that
-tightens with y puts the tail below 1e-4 abs_tol; that bound is part of
-its error estimate.  The real-axis form's tail is summed over
-half-periods by Wynn's epsilon algorithm.  The shifted contour's first
-panel starts halved toward 0, as bisection would halve it, until it is no
-wider than 1.5 times the distance of the integrand's pole from the axis,
-so that a point mostly meets tolerance on its first integrand call.
+tightens with y puts the tail below 1e-4 abs_tol, or else all of them;
+that bound at the window's end is part of its error estimate.  The
+real-axis form's tail is summed over half-periods by Wynn's epsilon
+algorithm.  The shifted contour's first panel starts halved toward 0, as
+bisection would halve it, until it is no wider than 1.5 times the
+distance of the integrand's pole from the axis, so that a point mostly
+meets tolerance on its first integrand call.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from __future__ import annotations
 import bisect
 import enum
 import functools
-import heapq
 import itertools
 import math
 import sys
@@ -268,12 +268,12 @@ def _epsilon_step(diag: list, partial: float) -> list:
 
 def _integral(cfg: QuadratureConfig, head: tuple, half_period: float = 0.0,
               tail_err: float = 0.0):
-    """The adaptive scheme of ``adaptive_integrate`` for one integral.
+    """One adaptive integral, as a generator.
 
-    A generator: each ``yield`` hands out a sequence of panels (a, b) and
-    receives their Kronrod values, error estimates and density values as
-    three arrays; it returns the IntegralResult.  It decides what to
-    evaluate from the first two alone, not from what else runs beside it.
+    Each ``yield`` hands out a list of panels (a, b) and receives their
+    Kronrod values, error estimates and density values as three lists; it
+    returns the IntegralResult.  It decides what to evaluate from the first
+    two alone, not from what else runs beside it.
 
     It starts from the ``head`` panels, which end at ``upper``, with
     ``tail_err`` bounding what lies past them.  With a ``half_period``, the
@@ -282,11 +282,10 @@ def _integral(cfg: QuadratureConfig, head: tuple, half_period: float = 0.0,
     (QUADPACK's dqawf) until the last three extrapolations agree to a
     tenth of ``abs_tol``, or _TAIL_PANELS have been spent.  Then the worst
     head panel is bisected until the summed error estimate is at most
-    ``abs_tol``, at most _MAX_BISECTIONS times.
+    ``abs_tol``, at most _MAX_BISECTIONS times; the head is kept as the
+    parallel lists ``panels``, ``vals``, ``errs`` and ``dens``, in order.
     """
     abs_tol = cfg.abs_tol
-    heap: list = []
-    order = itertools.count()
     extrap: list = []   # the epsilon extrapolation after each tail panel
 
     def tail_round():
@@ -297,15 +296,15 @@ def _integral(cfg: QuadratureConfig, head: tuple, half_period: float = 0.0,
     upper = head[-1][1]
     pairs = [*head, *tail_round()] if half_period else head
     vals, errs, dens = yield pairs
-    nodes = PANEL_SIZE * len(pairs)
-    for (a, b), v, e, d in zip(head, vals.tolist(), errs.tolist(), dens.tolist()):
-        heapq.heappush(heap, (-e, next(order), a, b, v, e, d))
-    n, diag = len(head), []
+    n, panels = len(head), list(head)
+    more_vals, more_errs = vals[n:], errs[n:]
+    del vals[n:], errs[n:], dens[n:]
+    diag: list = []
     partial = tail = 0.0
     tail_ok = True
     while half_period:
-        tail_err += math.fsum(errs[n:].tolist())
-        for v in vals[n:].tolist():
+        tail_err += math.fsum(more_errs)
+        for v in more_vals:
             partial += v
             diag = _epsilon_step(diag, partial)
             extrap.append(diag[(len(diag) - 1) & ~1])
@@ -315,27 +314,19 @@ def _integral(cfg: QuadratureConfig, head: tuple, half_period: float = 0.0,
         if tail_ok or len(extrap) >= _TAIL_PANELS:
             tail_err += spread
             break
-        pairs, n = tail_round(), 0
-        vals, errs, _ = yield pairs
-        nodes += PANEL_SIZE * len(pairs)
+        more_vals, more_errs, _ = yield tail_round()
 
     # refine the worst head panel until the summed error meets tolerance
-    err_sum = math.fsum(item[5] for item in heap) + tail_err
-    budget = _MAX_BISECTIONS
-    while err_sum > abs_tol and budget > 0:
-        _, _, a, b, _, e, _ = heapq.heappop(heap)
-        err_sum -= e
+    for _ in range(_MAX_BISECTIONS):
+        if math.fsum(errs) + tail_err <= abs_tol:
+            break
+        i = errs.index(max(errs))
+        a, b = panels[i]
         mid = 0.5 * (a + b)
-        vals, errs, dens = yield [(a, mid), (mid, b)]
-        nodes += 2 * PANEL_SIZE
-        (v0, v1), (e0, e1), (d0, d1) = vals.tolist(), errs.tolist(), dens.tolist()
-        heapq.heappush(heap, (-e0, next(order), a, mid, v0, e0, d0))
-        heapq.heappush(heap, (-e1, next(order), mid, b, v1, e1, d1))
-        err_sum += e0 + e1
-        budget -= 1
+        panels[i:i + 1] = halves = (a, mid), (mid, b)
+        vals[i:i + 1], errs[i:i + 1], dens[i:i + 1] = yield halves
 
-    total = math.fsum(item[4] for item in heap) + tail
-    err_sum = math.fsum(item[5] for item in heap) + tail_err
+    err_sum = math.fsum(errs) + tail_err
     converged = tail_ok and err_sum <= abs_tol
     if not converged:
         cause = "budget exhausted" if tail_ok else "oscillatory tail unresolved"
@@ -347,8 +338,10 @@ def _integral(cfg: QuadratureConfig, head: tuple, half_period: float = 0.0,
             f"adaptive quadrature {cause} (error estimate {err_sum:.3e}, "
             f"upper limit {upper + half_period * len(extrap):g})",
             RuntimeWarning, stacklevel=level)
-    return IntegralResult(total, err_sum, nodes, converged,
-                          math.fsum(item[6] for item in heap))
+    # each bisection evaluated two panels and added one
+    nodes = PANEL_SIZE * (2 * len(panels) - n + len(extrap))
+    return IntegralResult(math.fsum(vals) + tail, err_sum, nodes, converged,
+                          math.fsum(dens))
 
 
 def _drive(integrals, evaluate: Callable) -> list:
@@ -358,7 +351,8 @@ def _drive(integrals, evaluate: Callable) -> list:
     ``_IN_FLIGHT`` live at once.  Each round resumes every live one once:
     the panels they ask for are stacked into one array and evaluated by
     ``evaluate(edges, owners)``, where ``owners[j]`` is the position in
-    ``integrals`` of the one that asked for panel j.
+    ``integrals`` of the one that asked for panel j; each generator is sent
+    its slices of the outputs as lists.
     """
     results: list = []
     pending = enumerate(integrals)
@@ -372,7 +366,7 @@ def _drive(integrals, evaluate: Callable) -> list:
         counts = [len(pairs) for _, _, pairs in live]
         edges = np.array([p for _, _, pairs in live for p in pairs])
         owners = np.repeat([i for i, _, _ in live], counts)
-        out = evaluate(edges, owners)
+        out = [a.tolist() for a in evaluate(edges, owners)]
         still = []
         lo = 0
         for (i, gen, _), n in zip(live, counts):
@@ -491,26 +485,24 @@ def cdf_many(xs, spec: "Spectrum", cfg: QuadratureConfig | None = None,
     positive = np.array([x for x in xs if x > 0.0])
     if shifted:
         # the asserted bounds of _shifted_values give |f(y)| <= rhs e^{5/4-y}
-        # / (pi (y - 1/2)), so the tail past Y is below tail_err, which this Y
-        # puts below 0.1 abs_tol; log(rhs) comes from its exponent, finite
-        # where rhs overflows
+        # / (pi (y - 1/2)), whose integral past this Y is below 0.1 abs_tol;
+        # log(rhs) comes from its exponent, finite where rhs overflows
         log_rhs = 0.5 * math.sqrt(1.0 + 1.0 / ell) * float(z2.sum())
         upper = max(1.5, 1.25 + log_rhs - math.log(0.1 * math.pi * cfg.abs_tol))
-        tail_err = math.exp(1.25 + log_rhs - upper) / (math.pi * (upper - 0.5))
         # a few oscillation periods (wavelength ~ 2 pi / sqrt(ell)) per panel;
         # the pole of 1/d lies sqrt(ell)/(1 + ell) off the axis
         n0 = max(4, math.ceil(upper * math.sqrt(ell) / (4.0 * math.pi)))
         head = _panels(upper, n0, _POLE_PANEL * math.sqrt(ell) / (1.0 + ell))
         # each x keeps the fewest head panels past whose end the y-dependent
-        # bound T is at most _TAIL_SHARE abs_tol, and adds T to its estimate;
-        # T never exceeds tail_err, so no window grows
+        # bound T is at most _TAIL_SHARE abs_tol, else the whole head, and
+        # adds T at its window's end to its estimate
         log_tail, ends = _tail_bound(spec), [b for _, b in head]
         log_eps = math.log(_TAIL_SHARE * cfg.abs_tol)
 
         def window(x):
-            j = bisect.bisect_left(ends, True, key=lambda y: log_tail(x, y) <= log_eps)
-            return ((head, tail_err) if j == len(ends)
-                    else (head[:j + 1], math.exp(log_tail(x, ends[j]))))
+            j = bisect.bisect_left(ends, True, 0, len(ends) - 1,
+                                   key=lambda y: log_tail(x, y) <= log_eps)
+            return head[:j + 1], math.exp(log_tail(x, ends[j]))
 
         integrals = (_integral(cfg, h, tail_err=t)
                      for h, t in map(window, positive.tolist()))

@@ -168,6 +168,21 @@ class TestPowerCommand:
         text = svg_path.read_text()
         assert text.startswith("<svg") and "polyline" in text
 
+    @pytest.mark.parametrize("flags, text", [
+        (["--grid-max", "inf"], "grid maximum must be finite and positive, got inf"),
+        (["--grid-step", "nan"], "grid step must be finite and positive, got nan"),
+        (["--grid-step", "10", "--grid-max", "5"], "grid step 10.0 exceeds the grid maximum 5.0"),
+    ], ids=["inf-max", "nan-step", "step-above-max"])
+    def test_bad_grid_exits_2(self, capsys, tmp_path, flags, text):
+        # a bad grid is an input error (exit 2) that names the value, not a
+        # numerical error (exit 3) raised while the grid is counted
+        out_path = tmp_path / "c.csv"
+        code, _, err = run(capsys, "power", "--model", "uniform:4", "--pert", "zero",
+                           *flags, "--out", str(out_path))
+        assert code == EXIT_INPUT
+        assert text in err
+        assert not out_path.exists()
+
     def test_byte_identical_reruns(self, capsys, tmp_path):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
         for p in paths:
