@@ -1,16 +1,17 @@
 """Command-line interface.
 
-Commands: spectrum | cdf | power | simulate | examples.  Exit codes:
-0 on success, 2 for input/parse problems, 3 for numerical failures.
+Commands: spectrum | cdf | power | simulate | examples.  Shared flags
+live on four parent parsers: case (--model, and --pert defaulting to
+zero), quad (--abs-tol), grid (--grid-step, --grid-max; at most 10^6
+points) and mc (--n, --trials, --seed).  Exit codes: 0 on success, 2 for
+input/parse problems, 3 for numerical failures.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import re
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ from .model import (
     zero_perturbation,
 )
 from .montecarlo import empirical_power, simulate_statistics
-from .power import default_grid, power_curve
+from .power import GRID_MAX, GRID_STEP, default_grid, power_curve
 from .quadform import DEFAULT_CONFIG, QuadratureConfig, cdf_many
 from .spectrum import compute_spectrum
 from .svgplot import power_overlay_svg
@@ -35,21 +36,6 @@ EXIT_NUMERICAL = 3
 _MC_ALPHA_GRID = np.arange(1, 200) / 200.0
 
 
-def _add_quad_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--abs-tol", type=float, default=DEFAULT_CONFIG.abs_tol)
-
-
-def _add_model_args(p: argparse.ArgumentParser, pert_default=None) -> None:
-    p.add_argument("--model", required=True,
-                   help="uniform:m | poisson:lambda[:tol] | file:path")
-    p.add_argument("--pert", default=pert_default,
-                   help="alternating:amp | zero | file:path")
-
-
-def _quad_config(args) -> QuadratureConfig:
-    return QuadratureConfig(abs_tol=args.abs_tol)
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="gofpower",
@@ -57,39 +43,47 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("spectrum", help="print the limit-law parameters as JSON")
-    _add_model_args(sp, pert_default="zero")
+    case = argparse.ArgumentParser(add_help=False)
+    case.add_argument("--model", required=True,
+                      help="uniform:m | poisson:lambda[:tol] | file:path")
+    case.add_argument("--pert", default="zero",
+                      help="alternating:amp | zero | file:path")
+    quad = argparse.ArgumentParser(add_help=False)
+    quad.add_argument("--abs-tol", type=float, default=DEFAULT_CONFIG.abs_tol)
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument("--grid-step", type=float, default=GRID_STEP)
+    grid.add_argument("--grid-max", type=float, default=GRID_MAX)
+    mc = argparse.ArgumentParser(add_help=False)
+    mc.add_argument("--n", type=int, default=10 ** 6)
+    mc.add_argument("--trials", type=int, default=40_000)
+    mc.add_argument("--seed", type=int, default=1)
+
+    sp = sub.add_parser("spectrum", parents=[case],
+                        help="print the limit-law parameters as JSON")
     sp.add_argument("--out", help="write JSON here instead of stdout")
+    sp.set_defaults(run=cmd_spectrum)
 
-    sc = sub.add_parser("cdf", help="evaluate the limiting CDF at given points")
-    _add_model_args(sc, pert_default="zero")
+    sc = sub.add_parser("cdf", parents=[case, quad],
+                        help="evaluate the limiting CDF at given points")
     sc.add_argument("--x", type=float, nargs="+", required=True)
-    _add_quad_args(sc)
+    sc.set_defaults(run=cmd_cdf)
 
-    pw = sub.add_parser("power", help="write a power curve as CSV")
-    _add_model_args(pw)
-    pw.add_argument("--grid-step", type=float, default=1.0 / 2000.0)
-    pw.add_argument("--grid-max", type=float, default=5.0)
+    pw = sub.add_parser("power", parents=[case, quad, grid],
+                        help="write a power curve as CSV")
     pw.add_argument("--out", required=True, help="CSV output path")
     pw.add_argument("--svg", help="optional SVG plot path")
-    _add_quad_args(pw)
+    pw.set_defaults(run=cmd_power)
 
-    sim = sub.add_parser("simulate", help="Monte-Carlo statistics at finite n")
-    _add_model_args(sim, pert_default="zero")
-    sim.add_argument("--n", type=int, default=10 ** 6)
-    sim.add_argument("--trials", type=int, default=40_000)
-    sim.add_argument("--seed", type=int, default=1)
+    sim = sub.add_parser("simulate", parents=[case, mc],
+                         help="Monte-Carlo statistics at finite n")
     sim.add_argument("--out", required=True, help="statistics dump path")
     sim.add_argument("--dump-format", choices=("csv", "npy"), default="csv")
+    sim.set_defaults(run=cmd_simulate)
 
-    ex = sub.add_parser("examples", help="reproduce the four built-in benchmark cases")
+    ex = sub.add_parser("examples", parents=[quad, grid, mc],
+                        help="reproduce the four built-in benchmark cases")
     ex.add_argument("--out-dir", default=".", help="output directory")
-    ex.add_argument("--n", type=int, default=10 ** 6)
-    ex.add_argument("--trials", type=int, default=40_000)
-    ex.add_argument("--seed", type=int, default=1)
-    ex.add_argument("--grid-step", type=float, default=1.0 / 2000.0)
-    ex.add_argument("--grid-max", type=float, default=5.0)
-    _add_quad_args(ex)
+    ex.set_defaults(run=cmd_examples)
     # argparse takes -5 and -0.5 for numbers, not -1e-3; these parsers take all
     for parser in (p, *sub.choices.values()):
         parser._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
@@ -116,7 +110,7 @@ def cmd_spectrum(args) -> int:
 def cmd_cdf(args) -> int:
     model, pert = _resolve_case(args)
     spec = compute_spectrum(model, pert)
-    cfg = _quad_config(args)
+    cfg = QuadratureConfig(args.abs_tol)
     for x, ev in zip(args.x, cdf_many(args.x, spec, cfg)):
         flag = "" if ev.converged else " converged=False"
         print(f"x={x:.12g} cdf={ev.value:.12g} err={ev.abs_error_estimate:.3e} "
@@ -127,7 +121,7 @@ def cmd_cdf(args) -> int:
 def cmd_power(args) -> int:
     model, pert = _resolve_case(args)
     grid = default_grid(args.grid_step, args.grid_max)
-    curve = power_curve(model, pert, grid, _quad_config(args))
+    curve = power_curve(model, pert, grid, QuadratureConfig(args.abs_tol))
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         curve.write_csv(fh)
     if args.svg:
@@ -156,16 +150,14 @@ def cmd_simulate(args) -> int:
 def cmd_examples(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    cfg = _quad_config(args)
+    cfg = QuadratureConfig(args.abs_tol)
     grid = default_grid(args.grid_step, args.grid_max)
     costs_path = out_dir / "costs.csv"
     written: list[Path] = [costs_path]
     try:
         with open(costs_path, "w", encoding="utf-8", newline="") as costs:
-            writer = csv.writer(costs)
-            writer.writerow(["example", "m", "q0", "qa", "t"])
+            costs.write("example,m,q0,qa,t\n")
             for name, model, pert in builtin_examples():
-                t0 = time.perf_counter()
                 curve = power_curve(model, pert, grid, cfg)
                 curve_path = out_dir / f"{name}_curve.csv"
                 written.append(curve_path)
@@ -193,9 +185,9 @@ def cmd_examples(args) -> int:
                         [pt.alpha for pt in points], [pt.power for pt in points],
                         title=name)
 
-                writer.writerow([name, model.m, curve.meta.max_nodes_null,
-                                 curve.meta.max_nodes_alt,
-                                 f"{curve.meta.seconds_per_point:.6g}"])
+                costs.write(f"{name},{model.m},{curve.meta.max_nodes_null},"
+                            f"{curve.meta.max_nodes_alt},"
+                            f"{curve.meta.seconds_per_point:.6g}\n")
                 print(f"{name}: m={model.m} q0={curve.meta.max_nodes_null} "
                       f"qa={curve.meta.max_nodes_alt} "
                       f"t={curve.meta.seconds_per_point:.3g}s "
@@ -209,20 +201,10 @@ def cmd_examples(args) -> int:
     return EXIT_OK
 
 
-_DISPATCH = {
-    "spectrum": cmd_spectrum,
-    "cdf": cmd_cdf,
-    "power": cmd_power,
-    "simulate": cmd_simulate,
-    "examples": cmd_examples,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return _DISPATCH[args.command](args)
+        return args.run(args)
     except ArithmeticError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

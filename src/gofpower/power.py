@@ -31,6 +31,8 @@ __all__ = [
 CSV_HEADER = "x,F0,Fa,alpha,power"
 ROOT_TOL = 1e-12  # |F0(x*) - (1 - alpha)| target for asymptotic_power
 START_DEGREE = 16  # first Chebyshev interpolant of a curve's CDF
+GRID_STEP, GRID_MAX = 1.0 / 2000.0, 5.0  # the plotting grid: 10,000 points
+GRID_POINTS_MAX = 1_000_000  # 100 times the plotting grid
 
 
 @dataclass(frozen=True)
@@ -77,15 +79,18 @@ class PowerCurve:
             fh.write(f"{x:.17g},{f0:.17g},{fa:.17g},{1.0 - f0:.17g},{1.0 - fa:.17g}\n")
 
 
-def default_grid(step: float = 1.0 / 2000.0, x_max: float = 5.0) -> np.ndarray:
-    """x = step, 2*step, ..., up to x_max (10,000 points at the defaults)."""
+def default_grid(step: float = GRID_STEP, x_max: float = GRID_MAX) -> np.ndarray:
+    """x = step, 2*step, ..., up to x_max (10,000 points at the defaults; at most 10^6)."""
     for name, value in (("step", step), ("maximum", x_max)):
         if not 0.0 < value < math.inf:
             raise ValueError(f"grid {name} must be finite and positive, got {value!r}")
     if step > x_max:
         raise ValueError(f"grid step {step!r} exceeds the grid maximum {x_max!r}")
-    n = int(math.floor(x_max / step + 1e-9))
-    return np.arange(1, n + 1) * step
+    count = x_max / step + 1e-9  # compared as a float: the ratio can overflow to inf
+    if count >= GRID_POINTS_MAX + 1:
+        raise ValueError(f"grid step {step!r} up to {x_max!r} gives {count:.7g} points, "
+                         f"more than {GRID_POINTS_MAX:,}")
+    return np.arange(1, int(count) + 1) * step
 
 
 def pvalue(x_statistic: float, null_spec: Spectrum,

@@ -13,7 +13,7 @@ from gofpower import cli
 from gofpower.cli import EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK, main
 from gofpower.model import builtin_examples
 from gofpower.power import default_grid, power_curve
-from gofpower.quadform import QuadratureConfig
+from gofpower.quadform import DEFAULT_CONFIG
 
 CHI9_95_OVER_10 = 1.691898
 
@@ -49,11 +49,57 @@ QUAD_COMMANDS = {
 }
 
 
+# each command's minimal argv and every dest it parses to, with its default
+SURFACE = {
+    "spectrum": (["spectrum", "--model", "uniform:4"],
+                 {"model": "uniform:4", "pert": "zero", "out": None}),
+    "cdf": (["cdf", "--model", "uniform:4", "--x", "1"],
+            {"model": "uniform:4", "pert": "zero", "abs_tol": 1e-9, "x": [1.0]}),
+    "power": (["power", "--model", "uniform:4", "--out", "c.csv"],
+              {"model": "uniform:4", "pert": "zero", "abs_tol": 1e-9,
+               "grid_step": 0.0005, "grid_max": 5.0, "out": "c.csv", "svg": None}),
+    "simulate": (["simulate", "--model", "uniform:4", "--out", "s.csv"],
+                 {"model": "uniform:4", "pert": "zero", "n": 1_000_000,
+                  "trials": 40_000, "seed": 1, "out": "s.csv", "dump_format": "csv"}),
+    "examples": (["examples"],
+                 {"abs_tol": 1e-9, "grid_step": 0.0005, "grid_max": 5.0,
+                  "n": 1_000_000, "trials": 40_000, "seed": 1, "out_dir": "."}),
+}
+
+
+class TestCommandLineSurface:
+    @pytest.mark.parametrize("command", sorted(SURFACE))
+    def test_options_and_defaults(self, command):
+        argv, want = SURFACE[command]
+        parsed = vars(cli.build_parser().parse_args(argv))
+        assert parsed.pop("command") == command
+        assert parsed.pop("run") is getattr(cli, f"cmd_{command}")
+        assert parsed == want
+
+    @pytest.mark.parametrize("command", sorted(SURFACE))
+    def test_minimal_flags_are_required(self, command):
+        argv, _ = SURFACE[command]
+        for i in range(1, len(argv), 2):
+            with pytest.raises(SystemExit) as exc:
+                cli.build_parser().parse_args(argv[:i] + argv[i + 2:])
+            assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [["--version"], *([c, "--help"] for c in sorted(SURFACE))],
+                             ids=["version", *sorted(SURFACE)])
+    def test_version_and_help_exit_0(self, capsys, argv):
+        # a help text with a bare % or two parents declaring one option
+        # string would raise here instead
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out
+
+
 class TestQuadratureFlags:
     @pytest.mark.parametrize("command", sorted(QUAD_COMMANDS))
     def test_abs_tol_reaches_the_config(self, command):
         args = cli.build_parser().parse_args([*QUAD_COMMANDS[command], "--abs-tol", "1e-6"])
-        assert cli._quad_config(args) == QuadratureConfig(abs_tol=1e-6)
+        assert args.abs_tol == 1e-6
 
     @pytest.mark.parametrize("value", ["0", "-1e-9", "nan", "inf"])
     def test_bad_abs_tol_exits_2(self, capsys, value):
@@ -83,7 +129,7 @@ class TestQuadratureFlags:
 class TestCdfCommand:
     def test_quadrature_defaults_are_the_library_defaults(self):
         args = cli.build_parser().parse_args(["cdf", "--model", "uniform:3", "--x", "1"])
-        assert cli._quad_config(args) == QuadratureConfig()
+        assert args.abs_tol == DEFAULT_CONFIG.abs_tol
 
     def test_chi_square_value(self, capsys):
         code, out, _ = run(capsys, "cdf", "--model", "uniform:10",
@@ -172,7 +218,8 @@ class TestPowerCommand:
         (["--grid-max", "inf"], "grid maximum must be finite and positive, got inf"),
         (["--grid-step", "nan"], "grid step must be finite and positive, got nan"),
         (["--grid-step", "10", "--grid-max", "5"], "grid step 10.0 exceeds the grid maximum 5.0"),
-    ], ids=["inf-max", "nan-step", "step-above-max"])
+        (["--grid-step", "1e-12"], "gives 5e+12 points, more than 1,000,000"),
+    ], ids=["inf-max", "nan-step", "step-above-max", "too-many-points"])
     def test_bad_grid_exits_2(self, capsys, tmp_path, flags, text):
         # a bad grid is an input error (exit 2) that names the value, not a
         # numerical error (exit 3) raised while the grid is counted
@@ -182,6 +229,15 @@ class TestPowerCommand:
         assert code == EXIT_INPUT
         assert text in err
         assert not out_path.exists()
+
+    def test_pert_defaults_to_zero(self, capsys, tmp_path):
+        out_path = tmp_path / "c.csv"
+        code, _, err = run(capsys, "power", "--model", "uniform:4", "--grid-step", "0.5",
+                           "--out", str(out_path))
+        assert code == EXIT_OK, err
+        table = np.loadtxt(out_path, delimiter=",", skiprows=1)
+        assert table.shape == (10, 5)
+        assert np.array_equal(table[:, 3], table[:, 4])
 
     def test_byte_identical_reruns(self, capsys, tmp_path):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
@@ -249,6 +305,7 @@ class TestExamplesCommand:
             assert (tmp_path / f"example{k}_curve.csv").exists()
             assert (tmp_path / f"example{k}_mc.csv").exists()
             assert (tmp_path / f"example{k}.svg").exists()
+        assert b"\r" not in (tmp_path / "costs.csv").read_bytes()
         costs = (tmp_path / "costs.csv").read_text().strip().split("\n")
         assert costs[0] == "example,m,q0,qa,t"
         table = {row.split(",")[0]: row.split(",") for row in costs[1:]}
@@ -285,6 +342,7 @@ def test_committed_example_outputs_match_the_code():
     # the curves and node counts in the repository root are what
     # `gofpower examples` writes at its defaults
     root = Path(__file__).resolve().parent.parent
+    assert b"\r" not in (root / "costs.csv").read_bytes()
     with open(root / "costs.csv", encoding="utf-8") as fh:
         costs = {row["example"]: row for row in csv.DictReader(fh)}
     for name, model, pert in builtin_examples():

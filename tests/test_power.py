@@ -71,6 +71,9 @@ class TestDefaultGrid:
         assert g[0] == pytest.approx(1.0 / 2000.0)
         assert g[-1] == pytest.approx(5.0)
 
+    def test_largest_grid_accepted(self):
+        assert default_grid(5e-6).size == 10 ** 6
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             default_grid(step=-0.1)
@@ -82,6 +85,11 @@ class TestDefaultGrid:
             ({"x_max": math.inf}, "grid maximum must be finite and positive, got inf"),
             ({"x_max": 0.0}, "grid maximum must be finite and positive, got 0.0"),
             ({"step": 10.0, "x_max": 5.0}, "grid step 10.0 exceeds the grid maximum 5.0"),
+            # more than 10^6 points; x_max / step is inf at 1e-310
+            ({"step": 1e-12},
+             "grid step 1e-12 up to 5.0 gives 5e\\+12 points, more than 1,000,000"),
+            ({"step": 1e-300}, "gives 5e\\+300 points"),
+            ({"step": 1e-310}, "gives inf points"),
         ]:
             with pytest.raises(ValueError, match=text):
                 default_grid(**kwargs)
