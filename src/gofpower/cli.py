@@ -10,6 +10,7 @@ input/parse problems, 3 for numerical failures.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import re
 import sys
 from pathlib import Path
@@ -96,14 +97,36 @@ def _resolve_case(args):
     return model, pert
 
 
+def _check_counts(args) -> None:
+    """Refuse a nonpositive --n or --trials before any work."""
+    for name in ("n", "trials"):
+        if getattr(args, name) < 1:
+            raise ValueError(f"{name} must be a positive integer")
+
+
+@contextlib.contextmanager
+def _outputs(*paths, binary=False):
+    """Open each output path (None gives None) before any work, so that one
+    that cannot be opened refuses at once; on any failure, remove every file
+    opened here."""
+    handles = []
+    try:
+        with contextlib.ExitStack() as stack:
+            for path in paths:
+                handles.append(None if path is None else stack.enter_context(
+                    open(path, "wb") if binary
+                    else open(path, "w", encoding="utf-8", newline="")))
+            yield handles
+    except BaseException:
+        for fh in filter(None, handles):
+            Path(fh.name).unlink(missing_ok=True)
+        raise
+
+
 def cmd_spectrum(args) -> int:
     model, pert = _resolve_case(args)
-    spec = compute_spectrum(model, pert)
-    text = spec.to_json(indent=2)
-    if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
-    else:
-        print(text)
+    with _outputs(args.out) as (fh,):
+        print(compute_spectrum(model, pert).to_json(indent=2), file=fh or sys.stdout)
     return EXIT_OK
 
 
@@ -121,12 +144,11 @@ def cmd_cdf(args) -> int:
 def cmd_power(args) -> int:
     model, pert = _resolve_case(args)
     grid = default_grid(args.grid_step, args.grid_max)
-    curve = power_curve(model, pert, grid, QuadratureConfig(args.abs_tol))
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        curve.write_csv(fh)
-    if args.svg:
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            power_overlay_svg(fh, curve.alpha, curve.power)
+    with _outputs(args.out, args.svg) as (out, svg):
+        curve = power_curve(model, pert, grid, QuadratureConfig(args.abs_tol))
+        curve.write_csv(out)
+        if svg:
+            power_overlay_svg(svg, curve.alpha, curve.power)
     print(f"wrote {args.out}: {curve.x.size} points, "
           f"q0={curve.meta.max_nodes_null} qa={curve.meta.max_nodes_alt} "
           f"cdf_points={curve.meta.cdf_points} error_bound={curve.meta.error_bound:.3g}")
@@ -134,20 +156,25 @@ def cmd_power(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    _check_counts(args)
     model, pert = _resolve_case(args)
-    sim = simulate_statistics(model, pert, args.n, args.trials, args.seed)
-    if args.dump_format == "npy":
-        np.save(args.out, sim.statistics)
-    else:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+    npy = args.dump_format == "npy"
+    # the name np.save gives a path: .npy appended unless it is there
+    path = args.out + ".npy" if npy and not args.out.endswith(".npy") else args.out
+    with _outputs(path, binary=npy) as (fh,):
+        sim = simulate_statistics(model, pert, args.n, args.trials, args.seed)
+        if npy:
+            np.save(fh, sim.statistics)
+        else:
             fh.write("statistic\n")
             for v in sim.statistics.tolist():
                 fh.write(f"{v:.17g}\n")
-    print(f"wrote {args.out}: {sim.trials} trials at n={sim.n}, seed={sim.seed}")
+    print(f"wrote {path}: {sim.trials} trials at n={sim.n}, seed={sim.seed}")
     return EXIT_OK
 
 
 def cmd_examples(args) -> int:
+    _check_counts(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg = QuadratureConfig(args.abs_tol)

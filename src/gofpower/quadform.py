@@ -163,9 +163,10 @@ for _j in range(5):
 del _j
 
 
-def _shifted_values(y, x, s2, cnt, z2, ell):
+def _shifted_values(y, x, s2, cnt4, cnt2, z2h, ell):
     """Shifted-contour integrands of F and, times pi x, of its density (ds for
     ds/s; Daniels 1954, Ann. Math. Statist. 25:631), a row per CDF argument x.
+    The group constants are ``Plan.kernel_args``.
 
     Real arithmetic throughout: log w = log|w| + i atan2(Im w, Re w) factor
     by factor (a summed principal log), group sums as matrix-vector
@@ -178,21 +179,20 @@ def _shifted_values(y, x, s2, cnt, z2, ell):
     re = (1.0 - 2.0 * (yc - 1.0) * a).reshape(-1, g)
     im = ((2.0 * rt) * yc * a).reshape(-1, g)
     y = y.ravel()
-    im2 = im * im
-    r2 = re * re + im2
-    log_mod = np.log(r2) @ (0.25 * cnt)  # sum_k cnt_k/2 log|w_k|
+    r2 = re * re + im * im
+    log_mod = np.log(r2) @ cnt4  # sum_k cnt_k/2 log|w_k|
     if __debug__:
         # denominator bound: |prod sqrt(w_k)| > e^{-1/4}
-        assert np.all(log_mod > -0.25 - 1e-9)
-        # per-factor bound: |(1 - w)/w| <= sqrt(1 + 1/ell), squared
-        assert np.all((1.0 - re) ** 2 + im2
-                      <= (1.0 + 1.0 / ell) * (1.0 + 1e-9) ** 2 * r2)
+        assert (log_mod > -0.25 - 1e-9).all()
+        # per-factor bound: |(1 - w)/w|^2 <= (1 + 1/ell)(1 + 1e-9)^2, with
+        # |1 - w|^2 = 1 - 2 Re w + |w|^2
+        assert (1.0 - 2.0 * re <= ((1.0 + 1.0 / ell) * (1.0 + 1e-9) ** 2 - 1.0) * r2).all()
     expo_re = (1.0 - y) - log_mod
-    expo_im = y * rt - np.arctan2(im, re) @ (0.5 * cnt)
-    if z2.any():
+    expo_im = y * rt - np.arctan2(im, re) @ cnt2
+    if z2h is not None:
         inv = 1.0 / r2
-        expo_re += (re * inv - 1.0) @ (0.5 * z2)
-        expo_im -= (im * inv) @ (0.5 * z2)
+        expo_re += (re * inv - 1.0) @ z2h
+        expo_im -= (im * inv) @ z2h
     # Im(e^expo / (pi d)) with d = y - 1/(1 - i rt) = d_re - i d_im
     d_re = y - 1.0 / (1.0 + ell)
     d_im = rt / (1.0 + ell)
@@ -201,8 +201,9 @@ def _shifted_values(y, x, s2, cnt, z2, ell):
     return out.reshape(shape), (amp * (rt * cos - sin)).reshape(shape)
 
 
-def _imhof_values(y, x, s2, cnt, z2, ell):
+def _imhof_values(y, x, s2, cnt4, cnt2, z2h, ell):
     """Real-axis inversion integrand at the nodes y, one row per CDF argument x.
+    The group constants are ``Plan.kernel_args``.
 
     With v = 1 - i t and t = 2 y sigma^2 / x, log v = log1p(t^2)/2 - i arctan t
     factor by factor and 1/v = (1 + i t) / (1 + t^2).
@@ -211,16 +212,16 @@ def _imhof_values(y, x, s2, cnt, z2, ell):
     t = ((2.0 * y)[:, :, None] * (s2 / x[:, None])[:, None, :]).reshape(-1, s2.size)
     y = y.ravel()
     t2 = t * t
-    expo_re = -(np.log1p(t2) @ (0.25 * cnt))
-    expo_im = np.arctan(t) @ (0.5 * cnt) - y
-    if z2.any():
+    expo_re = -(np.log1p(t2) @ cnt4)
+    expo_im = np.arctan(t) @ cnt2 - y
+    if z2h is not None:
         q = 1.0 / (1.0 + t2)
         term_re = -t2 * q
         if __debug__:
             # numerator factors bounded by 1: Re((1-v)/(2v)) <= 0
-            assert np.all(term_re * (0.5 * z2) <= 1e-12)
-        expo_re += term_re @ (0.5 * z2)
-        expo_im += (t * q) @ (0.5 * z2)
+            assert (term_re * z2h <= 1e-12).all()
+        expo_re += term_re @ z2h
+        expo_im += (t * q) @ z2h
     return (np.exp(expo_re) * np.sin(expo_im) / (math.pi * y)).reshape(shape)
 
 
@@ -232,13 +233,15 @@ def _eval_panels(f, edges, *args):
     mid = 0.5 * (edges[:, 0] + edges[:, 1])
     ys = mid[:, None] + half[:, None] * _NODES
     fv, *dv = out if isinstance(out := f(ys, *args), tuple) else (out,)
-    for v in (fv, *dv):
-        if not np.isfinite(v).all():
-            raise NumericalFailureError(float(ys[~np.isfinite(v)][0]))
     kron = half * (fv @ _WK_FULL)
     gauss = half * (fv @ _WG_FULL)
-    dens = half * (dv[0] @ _WK_FULL) if dv else np.full_like(half, math.nan)
-    return kron, np.abs(kron - gauss), dens
+    dens = [half * (v @ _WK_FULL) for v in dv]
+    # every Kronrod weight is positive, so a non-finite node makes its
+    # panel's sum non-finite; only then are the nodes searched
+    for v, sums in zip((fv, *dv), (kron, *dens)):
+        if not np.isfinite(sums).all() and not (ok := np.isfinite(v)).all():
+            raise NumericalFailureError(float(ys[~ok][0]))
+    return kron, np.abs(kron - gauss), dens[0] if dv else np.full_like(half, math.nan)
 
 
 @functools.lru_cache(maxsize=64)
@@ -437,8 +440,13 @@ def _tail_bound(spec: "Spectrum") -> Callable:
     sums.  T never exceeds the y-independent bound rhs e^{5/4-y} /
     (pi (y - 1/2)), since (ell/4) log c >= -1/4 and M_k^(-1/2) <= c^(-1/2).
     """
-    ell = spec.ell
-    neg_s2, cnt, log_s2, z2, z2_s2 = spec.tail_sums
+    s2, cnt, z2, ell = spec.groups
+    # running sums over the groups of multiplicity, multiplicity times
+    # log sigma^2, summed zeta^2 and summed zeta^2 / sigma^2, each led by 0
+    sums = np.zeros((4, s2.size + 1))
+    np.cumsum([cnt, cnt * np.log(s2), z2, z2 / s2], axis=1, out=sums[:, 1:])
+    neg_s2 = (-s2).tolist()   # ascending, for ``bisect``
+    cnt, log_s2, z2, z2_s2 = sums.tolist()
     c = ell / (1.0 + ell)
     root_c, log_c, pole = math.sqrt(c), math.log(c), 1.0 / (1.0 + ell)
     two_rt, z_all = 2.0 * math.sqrt(ell), z2[-1]
@@ -455,6 +463,50 @@ def _tail_bound(spec: "Spectrum") -> Callable:
     return log_tail
 
 
+class Plan:
+    """What ``cdf_many`` reads from a spectrum alone, built once per spectrum
+    as ``Spectrum.plan``:
+
+    * ``method``, the route taken by default;
+    * ``kernel_args``, the kernels' group constants: sigma^2, cnt/4, cnt/2,
+      zeta^2/2 per group (None when every zeta is 0), and ell;
+    * ``step``, the panels one kernel call evaluates;
+    * ``log_tail``, the shifted contour's tail bound (``_tail_bound``);
+    * ``head(abs_tol)``, the shifted contour's head panels and their ends.
+    """
+
+    def __init__(self, spec: "Spectrum"):
+        s2, cnt, z2, ell = spec.groups
+        self.method = (Method.SHIFTED_CONTOUR
+                       if spec.stability_rhs <= QuadratureConfig.stability_threshold
+                       else Method.IMHOF)
+        self.kernel_args = (s2, 0.25 * cnt, 0.5 * cnt, 0.5 * z2 if z2.any() else None, ell)
+        self.step = max(1, _MAX_ELEMENTS // (PANEL_SIZE * s2.size))
+        self.log_tail = _tail_bound(spec)
+        # log of stability_rhs, from its exponent: finite where rhs overflows
+        self._log_rhs = 0.5 * math.sqrt(1.0 + 1.0 / ell) * float(z2.sum())
+        self._ell = ell
+        self._heads: dict = {}
+
+    def head(self, abs_tol: float) -> tuple:
+        """The shifted contour's head at ``abs_tol``, built once: its panels
+        and their ends.
+
+        The asserted bounds of _shifted_values give |f(y)| <= rhs e^{5/4-y}
+        / (pi (y - 1/2)), whose integral past the head's end is below 0.1
+        abs_tol.  Each panel spans a few oscillation periods (wavelength ~
+        2 pi / sqrt(ell)), and the pole of 1/d lies sqrt(ell)/(1 + ell) off
+        the axis.
+        """
+        if abs_tol not in self._heads:
+            ell = self._ell
+            upper = max(1.5, 1.25 + self._log_rhs - math.log(0.1 * math.pi * abs_tol))
+            n0 = max(4, math.ceil(upper * math.sqrt(ell) / (4.0 * math.pi)))
+            head = _panels(upper, n0, _POLE_PANEL * math.sqrt(ell) / (1.0 + ell))
+            self._heads[abs_tol] = head, [b for _, b in head]
+        return self._heads[abs_tol]
+
+
 def cdf_many(xs, spec: "Spectrum", cfg: QuadratureConfig | None = None,
              method: Method | None = None) -> list[CdfEvaluation]:
     """CDF of sum_k sigma_k^2 (Z_k + zeta_k)^2 at each x of ``xs``, in order.
@@ -468,36 +520,24 @@ def cdf_many(xs, spec: "Spectrum", cfg: QuadratureConfig | None = None,
     panel values; the points share only integrand calls, which is what
     makes a grid cheap.  Batching can change a point's integrand values
     by rounding (the group sums are matrix-vector products), not more.
+    What depends on the spectrum alone comes from ``spec.plan``.
     """
     cfg = cfg or DEFAULT_CONFIG
     xs = [float(x) for x in xs]
     for x in xs:
         if not math.isfinite(x):
             raise ValueError(f"x must be finite, got {x!r}")
-    if method is None:
-        method = (Method.SHIFTED_CONTOUR
-                  if spec.stability_rhs <= cfg.stability_threshold
-                  else Method.IMHOF)
-    method = Method(method)
+    plan = spec.plan
+    method = plan.method if method is None else Method(method)
     shifted = method is Method.SHIFTED_CONTOUR
     kernel = _shifted_values if shifted else _imhof_values
-    s2, cnt, z2, ell = spec.groups
     positive = np.array([x for x in xs if x > 0.0])
     if shifted:
-        # the asserted bounds of _shifted_values give |f(y)| <= rhs e^{5/4-y}
-        # / (pi (y - 1/2)), whose integral past this Y is below 0.1 abs_tol;
-        # log(rhs) comes from its exponent, finite where rhs overflows
-        log_rhs = 0.5 * math.sqrt(1.0 + 1.0 / ell) * float(z2.sum())
-        upper = max(1.5, 1.25 + log_rhs - math.log(0.1 * math.pi * cfg.abs_tol))
-        # a few oscillation periods (wavelength ~ 2 pi / sqrt(ell)) per panel;
-        # the pole of 1/d lies sqrt(ell)/(1 + ell) off the axis
-        n0 = max(4, math.ceil(upper * math.sqrt(ell) / (4.0 * math.pi)))
-        head = _panels(upper, n0, _POLE_PANEL * math.sqrt(ell) / (1.0 + ell))
         # each x keeps the fewest head panels past whose end the y-dependent
         # bound T is at most _TAIL_SHARE abs_tol, else the whole head, and
         # adds T at its window's end to its estimate
-        log_tail, ends = _tail_bound(spec), [b for _, b in head]
-        log_eps = math.log(_TAIL_SHARE * cfg.abs_tol)
+        head, ends = plan.head(cfg.abs_tol)
+        log_tail, log_eps = plan.log_tail, math.log(_TAIL_SHARE * cfg.abs_tol)
 
         def window(x):
             j = bisect.bisect_left(ends, True, 0, len(ends) - 1,
@@ -507,15 +547,14 @@ def cdf_many(xs, spec: "Spectrum", cfg: QuadratureConfig | None = None,
         integrals = (_integral(cfg, h, tail_err=t)
                      for h, t in map(window, positive.tolist()))
     else:
-        heads, halves = _imhof_windows(positive, s2, cnt, z2, ell)
+        heads, halves = _imhof_windows(positive, *spec.groups)
         # one head panel per 2 pi: the phase runs at about unit speed
         integrals = (_integral(cfg, _panels(y, math.ceil(y / (2.0 * math.pi))), h)
                      for y, h in zip(heads, halves))
-    step = max(1, _MAX_ELEMENTS // (PANEL_SIZE * s2.size))
+    step, args = plan.step, plan.kernel_args
 
     def evaluate(edges, owners):
-        parts = [_eval_panels(kernel, edges[k:k + step], positive[owners[k:k + step]],
-                              s2, cnt, z2, ell)
+        parts = [_eval_panels(kernel, edges[k:k + step], positive[owners[k:k + step]], *args)
                  for k in range(0, len(edges), step)]
         return tuple(np.concatenate(p) for p in zip(*parts))
 

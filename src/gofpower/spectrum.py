@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import DimensionError, Perturbation, ProbabilityModel
+from .quadform import Plan
 
 __all__ = ["Spectrum", "compute_spectrum"]
 
@@ -119,16 +120,10 @@ class Spectrum:
         return Spectrum(self.sigma, np.zeros(self.ell))
 
     @functools.cached_property
-    def tail_sums(self) -> tuple:
-        """What the shifted contour's tail bound reads per point, built on
-        first use: -sigma^2 per group (ascending, for ``bisect``), then the
-        running sums over the groups of multiplicity, multiplicity times
-        log sigma^2, summed zeta^2 and summed zeta^2 / sigma^2, each led by 0.
-        """
-        s2, cnt, z2, _ = self.groups
-        sums = np.zeros((4, s2.size + 1))
-        np.cumsum([cnt, cnt * np.log(s2), z2, z2 / s2], axis=1, out=sums[:, 1:])
-        return ((-s2).tolist(), *sums.tolist())
+    def plan(self) -> Plan:
+        """What ``quadform.cdf_many`` reads from this spectrum alone, built
+        on first use: see ``quadform.Plan``."""
+        return Plan(self)
 
     def mean(self) -> float:
         """E[X] = sum sigma_k^2 (1 + zeta_k^2)."""
@@ -209,6 +204,44 @@ def _secular_roots(poles, cnt, rows):
             t = t + eta
 
 
+def _secular_solve(p0):
+    """The part of ``eigendecompose`` that depends on p0 alone: the distinct
+    poles r_g = 1/p0 ascending, each bin's group ``which``, the counts c_g
+    (int and float), each block's (pole, tau), and the nonzero eigenvalues
+    in ascending ``order``."""
+    poles, which, cnt = np.unique(1.0 / p0, return_inverse=True, return_counts=True)
+    weight = cnt.astype(float)
+    blocks = [_secular_roots(poles, weight, slice(start, start + _BLOCK))[:2]
+              for start in range(0, poles.size - 1, _BLOCK)]
+    # tied groups: r_g itself, c_g - 1 times
+    lam = np.concatenate([np.repeat(poles, cnt - 1), *(pole + tau for pole, tau in blocks)])
+    order = np.argsort(lam, kind="stable")
+    lam = lam[order]
+    lam.flags.writeable = False   # shared by every projection of this solve
+    return poles, which, cnt, weight, blocks, lam, order
+
+
+def _project(solve, a):
+    """(lambda, eta) of ``eigendecompose`` from p0's ``_secular_solve``."""
+    poles, which, cnt, weight, blocks, lam, order = solve
+    sum_a = np.bincount(which, a)
+    spread = np.bincount(which, (a - (sum_a / cnt)[which]) ** 2)
+    eta = [np.zeros(which.size - poles.size)]   # the tied eigenvalues, sum(c_g - 1)
+    tied = cnt > 1
+    eta[0][(np.cumsum(cnt - 1) - (cnt - 1))[tied]] = np.sqrt(spread[tied])
+    for pole, tau in blocks:
+        # tau/(r_g - lambda), |v| <= 1; tau, the end away from the pole, is never 0
+        v = tau[:, None] / ((poles - pole[:, None]) - tau[:, None])
+        v *= np.sign(v[:, which[0]])[:, None]
+        eta.append(np.einsum("ij,j->i", v, sum_a)
+                   / np.sqrt(np.einsum("ij,j->i", v * v, weight)))
+    return lam, np.concatenate(eta)[order]
+
+
+# the most recent eigendecomposition's p0 and its _secular_solve, one entry
+_recent: tuple = (None, None)
+
+
 def eigendecompose(p0, a):
     """Nonzero eigenvalues of B = H diag(1/p0) H, ascending, and the
     components eta of ``a`` along matching unit eigenvectors.
@@ -232,35 +265,15 @@ def eigendecompose(p0, a):
     the group's part of ``a``, so the group's first eta is |a_G - mean(a_G)|
     and the others are 0.
     """
+    global _recent
     p0 = np.asarray(p0, dtype=float)
     a = np.asarray(a, dtype=float)
     # a NaN pole would keep the secular iteration below live for ever
     if p0.ndim != 1 or p0.shape != a.shape or not np.all((p0 > 0) & np.isfinite(p0)):
         raise ValueError("p0 must be finite and positive, with a of the same length")
-    r = 1.0 / p0
-    poles, which, cnt = np.unique(r, return_inverse=True, return_counts=True)
-
-    # tied groups: r_g itself, c_g - 1 times
-    lam = [np.repeat(poles, cnt - 1)]
-    eta = [np.zeros(lam[0].size)]
-    sum_a = np.bincount(which, a)
-    spread = np.bincount(which, (a - (sum_a / cnt)[which]) ** 2)
-    tied = cnt > 1
-    eta[0][(np.cumsum(cnt - 1) - (cnt - 1))[tied]] = np.sqrt(spread[tied])
-
-    weight = cnt.astype(float)
-    for start in range(0, poles.size - 1, _BLOCK):
-        pole, tau, _ = _secular_roots(poles, weight, slice(start, start + _BLOCK))
-        # tau/(r_g - lambda), |v| <= 1; tau, the end away from the pole, is never 0
-        v = tau[:, None] / ((poles - pole[:, None]) - tau[:, None])
-        v *= np.sign(v[:, which[0]])[:, None]
-        lam.append(pole + tau)
-        eta.append(np.einsum("ij,j->i", v, sum_a)
-                   / np.sqrt(np.einsum("ij,j->i", v * v, weight)))
-
-    lam, eta = np.concatenate(lam), np.concatenate(eta)
-    order = np.argsort(lam, kind="stable")
-    return lam[order], eta[order]
+    solve = _secular_solve(p0)
+    _recent = (p0, solve)
+    return _project(solve, a)
 
 
 def compute_spectrum(model: ProbabilityModel, pert: Perturbation) -> Spectrum:
@@ -269,10 +282,19 @@ def compute_spectrum(model: ProbabilityModel, pert: Perturbation) -> Spectrum:
     sigma_k = 1/sqrt(lambda_k) over the m-1 nonzero eigenvalues, ascending,
     so sigma is descending; zeta_k = eta_k / sigma_k with eta_k the
     component of ``a`` along the k-th unit eigenvector.
+
+    sigma depends on p0 alone, so the secular solve of the most recent
+    eigendecomposition is kept, keyed on the p0 array it solved, which a
+    model holds read-only: a model's null and alternative solve once.  Only
+    one is kept, so memory does not grow with the models answered.
     """
     if pert.m != model.m:
         raise DimensionError(
             f"perturbation has {pert.m} bins, model has {model.m}")
-    lam, eta = eigendecompose(model.probs, pert.entries)
+    p0, solve = _recent
+    if p0 is model.probs:
+        lam, eta = _project(solve, pert.entries)
+    else:
+        lam, eta = eigendecompose(model.probs, pert.entries)
     sigma = 1.0 / np.sqrt(lam)
     return Spectrum(sigma, eta / sigma)

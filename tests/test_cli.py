@@ -338,6 +338,47 @@ class TestExamplesCommand:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestRefusalsComeFirst:
+    """Each refusal exits 2 before any computing and leaves no file."""
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("computed before refusing")
+
+        for name in ("compute_spectrum", "power_curve", "simulate_statistics"):
+            monkeypatch.setattr(cli, name, forbidden)
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--model", "uniform:4", "--out", "{missing}/s.json"],
+        ["power", "--model", "uniform:4", "--out", "{missing}/c.csv"],
+        ["power", "--model", "uniform:4", "--out", "{tmp}/c.csv", "--svg", "{missing}/c.svg"],
+        ["simulate", "--model", "uniform:4", "--out", "{missing}/s.csv"],
+        ["simulate", "--model", "uniform:4", "--out", "{missing}/s.npy",
+         "--dump-format", "npy"],
+        ["simulate", "--model", "uniform:4", "--trials", "0", "--out", "{tmp}/s.csv"],
+        ["examples", "--trials", "0", "--out-dir", "{tmp}/ex"],
+        ["examples", "--n", "0", "--out-dir", "{tmp}/ex"],
+    ], ids=["spectrum-out", "power-out", "power-svg", "simulate-out", "simulate-npy",
+            "simulate-trials", "examples-trials", "examples-n"])
+    def test_exits_2_at_once_leaving_no_file(self, capsys, tmp_path, no_work, argv):
+        argv = [a.format(tmp=tmp_path, missing=tmp_path / "missing") for a in argv]
+        code, _, err = run(capsys, *argv)
+        assert code == EXIT_INPUT, err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failure_removes_opened_outputs(self, capsys, tmp_path, monkeypatch):
+        def boom(*args, **kwargs):
+            raise ArithmeticError("synthetic failure")
+
+        monkeypatch.setattr(cli, "power_curve", boom)
+        code, _, err = run(capsys, "power", "--model", "uniform:4",
+                           "--out", str(tmp_path / "c.csv"), "--svg", str(tmp_path / "c.svg"))
+        assert code == EXIT_NUMERICAL
+        assert "synthetic failure" in err
+        assert list(tmp_path.iterdir()) == []
+
+
 def test_committed_example_outputs_match_the_code():
     # the curves and node counts in the repository root are what
     # `gofpower examples` writes at its defaults

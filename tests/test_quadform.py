@@ -168,6 +168,23 @@ class TestAdaptiveIntegrate:
         res = adaptive_integrate(f, upper=16.0)
         assert res.nodes_used == sum(counter)
 
+    def test_nan_only_in_density_raises_at_first_bad_node(self, spec61, monkeypatch):
+        # finiteness is checked on the panel sums, and the nodes are searched
+        # only when one fails; the density's sums are checked as F's are
+        real, first = quadform._shifted_values, []
+
+        def density_nan(y, *args):
+            f, d = real(y, *args)
+            d = d.copy()
+            d.flat[[25, 60]] = np.nan
+            first.append(float(y.flat[25]))
+            return f, d
+
+        monkeypatch.setattr(quadform, "_shifted_values", density_nan)
+        with pytest.raises(NumericalFailureError) as err:
+            cdf(spec61.mean(), spec61)
+        assert err.value.y == first[0]
+
 
 class TestStabilityBound:
     def test_zero_zeta_is_one(self):
@@ -258,7 +275,7 @@ class TestIntegrandImhof:
 
     def test_large_x_limit_is_sinc(self, spec_unit):
         ys = np.array([0.5, 1.0, 2.0, 7.0])
-        vals = _imhof_values(ys[None, :], np.array([1e12]), *spec_unit.groups)[0]
+        vals = _imhof_values(ys[None, :], np.array([1e12]), *spec_unit.plan.kernel_args)[0]
         assert np.allclose(vals, -np.sin(ys) / (math.pi * ys), atol=1e-9)
 
     @pytest.mark.parametrize("x, want", list(TINY_VARIANCE["cdf"].items()))
@@ -455,7 +472,7 @@ class TestRealArithmeticKernels:
                 spec = Spectrum(np.repeat(spec.sigma[:3], 3),
                                 np.resize(spec.zeta, 9))
             xs = rng.uniform(0.1, 5.0, 3) * spec.mean()
-            got = kernel(ys, xs, *spec.groups)
+            got = kernel(ys, xs, *spec.plan.kernel_args)
             for values, ref in zip(got if shifted else [got], refs):
                 for row, x in zip(range(3), xs):
                     want = ref(ys[row], x, spec)
@@ -475,6 +492,32 @@ def test_density_matches_oracle(df, noncentrality):
         assert ev.method is Method.SHIFTED_CONTOUR
         want = noncentral_chi2_pdf(df, noncentrality, x)
         assert abs(ev.density - want) <= 1e-6 * max(1.0, want), (x, ev.density, want)
+
+
+@pytest.mark.parametrize("case", range(24))
+def test_per_factor_bound_forms_agree_in_sign(case):
+    # the kernel asserts |1 - w|^2 <= k |w|^2 as 1 - 2 Re w <= (k - 1) |w|^2;
+    # at every head node, for x from 0.05 to 8 means, both margins have one sign
+    if case < 4:
+        _, model, pert = builtin_examples()[case]
+        specs = [compute_spectrum(model, pert)]
+        specs.append(specs[0].null())
+    else:
+        specs = [random_spectrum(np.random.default_rng([3001, case]))]
+    for spec in specs:
+        s2, _, _, ell = spec.groups
+        head, _ = spec.plan.head(DEFAULT_CONFIG.abs_tol)
+        y = np.array([0.5 * (lo + hi) + 0.5 * (hi - lo) * t for lo, hi in head
+                      for t in quadform._NODES])[:, None]
+        k = (1.0 + 1.0 / ell) * (1.0 + 1e-9) ** 2
+        for c in (0.05, 0.5, 1.0, 2.0, 8.0):
+            a = s2 / (c * spec.mean())
+            re = 1.0 - 2.0 * (y - 1.0) * a
+            im = (2.0 * math.sqrt(ell)) * y * a
+            r2 = re * re + im * im
+            old = k * r2 - ((1.0 - re) ** 2 + im * im)
+            new = (k - 1.0) * r2 - (1.0 - 2.0 * re)
+            assert np.array_equal(np.sign(old), np.sign(new)), (case, c)
 
 
 class TestCdfMany:

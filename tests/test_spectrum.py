@@ -1,9 +1,11 @@
 """Closed-form (secular-equation) spectrum and limit-law parameters."""
 
 import decimal
+import gc
 import json
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from gofpower.model import (
     uniform_model,
     zero_perturbation,
 )
+from gofpower import spectrum
 from gofpower.spectrum import (
     _BLOCK,
     Spectrum,
@@ -413,6 +416,69 @@ class TestComputeSpectrum:
     def test_dimension_mismatch(self):
         with pytest.raises(Exception):
             compute_spectrum(uniform_model(4), zero_perturbation(5))
+
+
+class TestSecularSolveCache:
+    """compute_spectrum keeps the most recent model's secular solve."""
+
+    @staticmethod
+    def fresh(model, pert):
+        # an equal model that no cache has seen, its masses kept bit for bit
+        twin = ProbabilityModel(model.probs.copy(), sum_tol=math.inf)
+        assert twin.probs.tobytes() == model.probs.tobytes()
+        return compute_spectrum(twin, pert)
+
+    @staticmethod
+    def same(got, want):
+        return (got.sigma.tobytes() == want.sigma.tobytes()
+                and got.zeta.tobytes() == want.zeta.tobytes())
+
+    def test_null_then_alternative_match_a_fresh_model(self):
+        cases = [(model, pert) for _, model, pert in builtin_examples()]
+        cases += [secular_case(seed, kind, ratio) for seed, kind, ratio in (
+            (5, "tied", 10.0), (7, "distinct", 1e9), (8, "near-tied", 1e6))]
+        for model, pert in cases:
+            zero = zero_perturbation(model.m)
+            null, alt = compute_spectrum(model, zero), compute_spectrum(model, pert)
+            assert self.same(null, self.fresh(model, zero))
+            assert self.same(alt, self.fresh(model, pert))
+
+    def test_models_in_turn_are_each_answered(self):
+        rng = np.random.default_rng(41)
+        (a, pa), (b, pb) = random_model_pert(rng, 9), random_model_pert(rng, 14)
+        first = compute_spectrum(a, pa)
+        between = compute_spectrum(b, pb)
+        again = compute_spectrum(a, pa)
+        assert self.same(first, again) and self.same(again, self.fresh(a, pa))
+        assert self.same(between, self.fresh(b, pb))
+
+    def test_one_entry_after_fifty_models(self):
+        rng = np.random.default_rng(42)
+        probs = []
+        for k in range(50):
+            model, pert = random_model_pert(rng, 5 + k % 20)
+            compute_spectrum(model, zero_perturbation(model.m))
+            compute_spectrum(model, pert)
+            probs.append(weakref.ref(model.probs))
+        del model, pert
+        gc.collect()
+        alive = [ref() for ref in probs if ref() is not None]
+        assert len(alive) == 1 and alive[0] is spectrum._recent[0]
+
+    @pytest.mark.parametrize("m", [12, 300])
+    def test_null_then_alternative_solve_once(self, m, monkeypatch):
+        # a call per block of secular rows, not a call per block per spectrum
+        real, calls = spectrum._secular_roots, []
+
+        def counting(*args):
+            calls.append(args[2])
+            return real(*args)
+
+        monkeypatch.setattr(spectrum, "_secular_roots", counting)
+        model, pert = random_model_pert(np.random.default_rng(m), m)
+        compute_spectrum(model, zero_perturbation(m))
+        compute_spectrum(model, pert)
+        assert calls == [slice(k, k + _BLOCK) for k in range(0, m - 1, _BLOCK)]
 
 
 class TestSpectrumType:
