@@ -11,8 +11,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import re
+import stat
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -98,7 +101,7 @@ def _resolve_case(args):
 
 
 def _check_counts(args) -> None:
-    """Refuse a nonpositive --n or --trials before any work."""
+    """Refuse a nonpositive --n or --trials before any example is computed."""
     for name in ("n", "trials"):
         if getattr(args, name) < 1:
             raise ValueError(f"{name} must be a positive integer")
@@ -106,21 +109,50 @@ def _check_counts(args) -> None:
 
 @contextlib.contextmanager
 def _outputs(*paths, binary=False):
-    """Open each output path (None gives None) before any work, so that one
-    that cannot be opened refuses at once; on any failure, remove every file
-    opened here."""
-    handles = []
+    """Open a stand-in for each output path (None gives None) before any
+    work, so that a path that cannot be written refuses at once.
+
+    A regular file, or one not there yet, is written to a temporary file
+    beside it, which replaces it only when the block succeeds: a failure
+    leaves an earlier file as it was.  Any other existing path, such as
+    /dev/null or a FIFO, is written in place and never removed.
+    """
+    mode, text = ("wb", {}) if binary else ("w", {"encoding": "utf-8", "newline": ""})
+    staged = []   # (temporary file, the path it replaces)
     try:
         with contextlib.ExitStack() as stack:
+            handles = []
             for path in paths:
-                handles.append(None if path is None else stack.enter_context(
-                    open(path, "wb") if binary
-                    else open(path, "w", encoding="utf-8", newline="")))
+                if path is None:
+                    handles.append(None)
+                    continue
+                try:
+                    kept = os.stat(path)
+                except FileNotFoundError:
+                    kept = None
+                if kept is not None and not stat.S_ISREG(kept.st_mode):
+                    handles.append(stack.enter_context(open(path, mode, **text)))
+                    continue
+                target = os.path.realpath(path)
+                fd, tmp = tempfile.mkstemp(prefix=f".{os.path.basename(target)}.",
+                                           dir=os.path.dirname(target))
+                staged.append((tmp, target))
+                handles.append(stack.enter_context(open(fd, mode, **text)))
+                os.chmod(tmp, 0o666 & ~_umask() if kept is None
+                         else stat.S_IMODE(kept.st_mode))
             yield handles
-    except BaseException:
-        for fh in filter(None, handles):
-            Path(fh.name).unlink(missing_ok=True)
-        raise
+        for tmp, target in staged:
+            os.replace(tmp, target)
+    finally:
+        for tmp, _ in staged:
+            Path(tmp).unlink(missing_ok=True)
+
+
+def _umask() -> int:
+    """The process's file-mode mask, which os.umask reads only by setting it."""
+    mask = os.umask(0o022)
+    os.umask(mask)
+    return mask
 
 
 def cmd_spectrum(args) -> int:
@@ -156,7 +188,6 @@ def cmd_power(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    _check_counts(args)
     model, pert = _resolve_case(args)
     npy = args.dump_format == "npy"
     # the name np.save gives a path: .npy appended unless it is there
@@ -179,52 +210,37 @@ def cmd_examples(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg = QuadratureConfig(args.abs_tol)
     grid = default_grid(args.grid_step, args.grid_max)
-    costs_path = out_dir / "costs.csv"
-    written: list[Path] = [costs_path]
-    try:
-        with open(costs_path, "w", encoding="utf-8", newline="") as costs:
-            costs.write("example,m,q0,qa,t\n")
-            for name, model, pert in builtin_examples():
-                curve = power_curve(model, pert, grid, cfg)
-                curve_path = out_dir / f"{name}_curve.csv"
-                written.append(curve_path)
-                with open(curve_path, "w", encoding="utf-8", newline="") as fh:
-                    curve.write_csv(fh)
+    examples = builtin_examples()
+    paths = [out_dir / f"{name}{suffix}" for name, _, _ in examples
+             for suffix in ("_curve.csv", "_mc.csv", ".svg")]
+    with _outputs(out_dir / "costs.csv", *paths) as (costs, *files):
+        costs.write("example,m,q0,qa,t\n")
+        for k, (name, model, pert) in enumerate(examples):
+            curve_fh, mc_fh, svg_fh = files[3 * k:3 * k + 3]
+            curve = power_curve(model, pert, grid, cfg)
+            curve.write_csv(curve_fh)
 
-                sim_null = simulate_statistics(
-                    model, zero_perturbation(model.m), args.n, args.trials,
-                    args.seed)
-                sim_alt = simulate_statistics(
-                    model, pert, args.n, args.trials, args.seed + 1)
-                points = empirical_power(sim_null, sim_alt, _MC_ALPHA_GRID)
-                mc_path = out_dir / f"{name}_mc.csv"
-                written.append(mc_path)
-                with open(mc_path, "w", encoding="utf-8", newline="") as fh:
-                    fh.write("alpha,power,std_error\n")
-                    for pt in points:
-                        fh.write(f"{pt.alpha:.17g},{pt.power:.17g},{pt.std_error:.17g}\n")
+            sim_null = simulate_statistics(
+                model, zero_perturbation(model.m), args.n, args.trials, args.seed)
+            sim_alt = simulate_statistics(model, pert, args.n, args.trials, args.seed + 1)
+            points = empirical_power(sim_null, sim_alt, _MC_ALPHA_GRID)
+            mc_fh.write("alpha,power,std_error\n")
+            for pt in points:
+                mc_fh.write(f"{pt.alpha:.17g},{pt.power:.17g},{pt.std_error:.17g}\n")
 
-                svg_path = out_dir / f"{name}.svg"
-                written.append(svg_path)
-                with open(svg_path, "w", encoding="utf-8") as fh:
-                    power_overlay_svg(
-                        fh, curve.alpha, curve.power,
-                        [pt.alpha for pt in points], [pt.power for pt in points],
-                        title=name)
+            power_overlay_svg(
+                svg_fh, curve.alpha, curve.power,
+                [pt.alpha for pt in points], [pt.power for pt in points], title=name)
 
-                costs.write(f"{name},{model.m},{curve.meta.max_nodes_null},"
-                            f"{curve.meta.max_nodes_alt},"
-                            f"{curve.meta.seconds_per_point:.6g}\n")
-                print(f"{name}: m={model.m} q0={curve.meta.max_nodes_null} "
-                      f"qa={curve.meta.max_nodes_alt} "
-                      f"t={curve.meta.seconds_per_point:.3g}s "
-                      f"cdf_points={curve.meta.cdf_points} "
-                      f"error_bound={curve.meta.error_bound:.3g} "
-                      f"method={curve.meta.method_alt}")
-    except Exception:
-        for path in written:
-            path.unlink(missing_ok=True)
-        raise
+            costs.write(f"{name},{model.m},{curve.meta.max_nodes_null},"
+                        f"{curve.meta.max_nodes_alt},"
+                        f"{curve.meta.seconds_per_point:.6g}\n")
+            print(f"{name}: m={model.m} q0={curve.meta.max_nodes_null} "
+                  f"qa={curve.meta.max_nodes_alt} "
+                  f"t={curve.meta.seconds_per_point:.3g}s "
+                  f"cdf_points={curve.meta.cdf_points} "
+                  f"error_bound={curve.meta.error_bound:.3g} "
+                  f"method={curve.meta.method_alt}")
     return EXIT_OK
 
 

@@ -426,7 +426,7 @@ def _imhof_windows(xs, s2, cnt, z2, ell: int):
     return y.tolist(), (math.pi / np.abs(now)).tolist()
 
 
-def _tail_bound(spec: "Spectrum") -> Callable:
+def _tail_bound(s2, cnt, z2, ell: int) -> Callable:
     """The function (x, y) -> log T, where T bounds the integral of |f| over
     [y, inf) on the shifted contour at x (T = inf for y <= 1/(1 + ell)).
 
@@ -439,8 +439,8 @@ def _tail_bound(spec: "Spectrum") -> Callable:
     descending sigma^2, so T costs a bisection and the spectrum's running
     sums.  T never exceeds the y-independent bound rhs e^{5/4-y} /
     (pi (y - 1/2)), since (ell/4) log c >= -1/4 and M_k^(-1/2) <= c^(-1/2).
+    The arguments are a spectrum's ``groups``.
     """
-    s2, cnt, z2, ell = spec.groups
     # running sums over the groups of multiplicity, multiplicity times
     # log sigma^2, summed zeta^2 and summed zeta^2 / sigma^2, each led by 0
     sums = np.zeros((4, s2.size + 1))
@@ -471,22 +471,23 @@ class Plan:
     * ``kernel_args``, the kernels' group constants: sigma^2, cnt/4, cnt/2,
       zeta^2/2 per group (None when every zeta is 0), and ell;
     * ``step``, the panels one kernel call evaluates;
-    * ``log_tail``, the shifted contour's tail bound (``_tail_bound``);
-    * ``head(abs_tol)``, the shifted contour's head panels and their ends.
+    * ``log_tail``, the shifted contour's tail bound (``_tail_bound``), and
+      ``head(abs_tol)``, its head panels and their ends, each built on the
+      shifted route's first use.
     """
 
     def __init__(self, spec: "Spectrum"):
-        s2, cnt, z2, ell = spec.groups
+        s2, cnt, z2, ell = self._groups = spec.groups
         self.method = (Method.SHIFTED_CONTOUR
                        if spec.stability_rhs <= QuadratureConfig.stability_threshold
                        else Method.IMHOF)
         self.kernel_args = (s2, 0.25 * cnt, 0.5 * cnt, 0.5 * z2 if z2.any() else None, ell)
         self.step = max(1, _MAX_ELEMENTS // (PANEL_SIZE * s2.size))
-        self.log_tail = _tail_bound(spec)
-        # log of stability_rhs, from its exponent: finite where rhs overflows
-        self._log_rhs = 0.5 * math.sqrt(1.0 + 1.0 / ell) * float(z2.sum())
-        self._ell = ell
         self._heads: dict = {}
+
+    @functools.cached_property
+    def log_tail(self) -> Callable:
+        return _tail_bound(*self._groups)
 
     def head(self, abs_tol: float) -> tuple:
         """The shifted contour's head at ``abs_tol``, built once: its panels
@@ -499,8 +500,10 @@ class Plan:
         the axis.
         """
         if abs_tol not in self._heads:
-            ell = self._ell
-            upper = max(1.5, 1.25 + self._log_rhs - math.log(0.1 * math.pi * abs_tol))
+            _, _, z2, ell = self._groups
+            # log of stability_rhs, from its exponent: finite where rhs overflows
+            log_rhs = 0.5 * math.sqrt(1.0 + 1.0 / ell) * float(z2.sum())
+            upper = max(1.5, 1.25 + log_rhs - math.log(0.1 * math.pi * abs_tol))
             n0 = max(4, math.ceil(upper * math.sqrt(ell) / (4.0 * math.pi)))
             head = _panels(upper, n0, _POLE_PANEL * math.sqrt(ell) / (1.0 + ell))
             self._heads[abs_tol] = head, [b for _, b in head]

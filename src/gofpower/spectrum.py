@@ -286,7 +286,8 @@ def compute_spectrum(model: ProbabilityModel, pert: Perturbation) -> Spectrum:
     sigma depends on p0 alone, so the secular solve of the most recent
     eigendecomposition is kept, keyed on the p0 array it solved, which a
     model holds read-only: a model's null and alternative solve once.  Only
-    one is kept, so memory does not grow with the models answered.
+    one is kept, so memory does not grow with the models answered.  Given
+    the alternative, ``Spectrum.null()`` gives the null with no solve at all.
     """
     if pert.m != model.m:
         raise DimensionError(

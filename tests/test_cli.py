@@ -356,27 +356,90 @@ class TestRefusalsComeFirst:
         ["simulate", "--model", "uniform:4", "--out", "{missing}/s.csv"],
         ["simulate", "--model", "uniform:4", "--out", "{missing}/s.npy",
          "--dump-format", "npy"],
-        ["simulate", "--model", "uniform:4", "--trials", "0", "--out", "{tmp}/s.csv"],
         ["examples", "--trials", "0", "--out-dir", "{tmp}/ex"],
         ["examples", "--n", "0", "--out-dir", "{tmp}/ex"],
     ], ids=["spectrum-out", "power-out", "power-svg", "simulate-out", "simulate-npy",
-            "simulate-trials", "examples-trials", "examples-n"])
+            "examples-trials", "examples-n"])
     def test_exits_2_at_once_leaving_no_file(self, capsys, tmp_path, no_work, argv):
         argv = [a.format(tmp=tmp_path, missing=tmp_path / "missing") for a in argv]
         code, _, err = run(capsys, *argv)
         assert code == EXIT_INPUT, err
         assert list(tmp_path.iterdir()) == []
 
-    def test_failure_removes_opened_outputs(self, capsys, tmp_path, monkeypatch):
+    def test_simulate_trials_exits_2_leaving_no_file(self, capsys, tmp_path):
+        # simulate_statistics refuses the count before its first trial
+        code, _, err = run(capsys, "simulate", "--model", "uniform:4", "--trials", "0",
+                           "--out", str(tmp_path / "s.csv"))
+        assert code == EXIT_INPUT, err
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestOutputsOnFailure:
+    """A failed command leaves every output path as it found it."""
+
+    @pytest.fixture(autouse=True)
+    def failing_curve(self, monkeypatch):
         def boom(*args, **kwargs):
             raise ArithmeticError("synthetic failure")
 
         monkeypatch.setattr(cli, "power_curve", boom)
+
+    def power(self, capsys, out, svg):
         code, _, err = run(capsys, "power", "--model", "uniform:4",
-                           "--out", str(tmp_path / "c.csv"), "--svg", str(tmp_path / "c.svg"))
+                           "--out", str(out), "--svg", str(svg))
         assert code == EXIT_NUMERICAL
         assert "synthetic failure" in err
+
+    def test_new_outputs_are_not_created(self, capsys, tmp_path):
+        self.power(capsys, tmp_path / "c.csv", tmp_path / "c.svg")
         assert list(tmp_path.iterdir()) == []
+
+    def test_earlier_outputs_are_kept(self, capsys, tmp_path):
+        for name in ("c.csv", "c.svg"):
+            (tmp_path / name).write_text(f"earlier {name}\n")
+        self.power(capsys, tmp_path / "c.csv", tmp_path / "c.svg")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.csv", "c.svg"]
+        for name in ("c.csv", "c.svg"):
+            assert (tmp_path / name).read_text() == f"earlier {name}\n"
+
+    def test_a_device_is_written_in_place_and_kept(self, capsys, tmp_path):
+        # reached through a link, so that a regression removes the link,
+        # not the device itself
+        link = tmp_path / "null"
+        link.symlink_to("/dev/null")
+        self.power(capsys, link, tmp_path / "c.svg")
+        assert list(tmp_path.iterdir()) == [link]
+        assert link.is_symlink() and link.is_char_device()
+
+
+class TestOutputsOnSuccess:
+    def test_a_link_keeps_its_target_and_the_target_its_mode(self, capsys, tmp_path):
+        target = tmp_path / "c.csv"
+        target.write_text("earlier\n")
+        target.chmod(0o640)
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        code, _, err = run(capsys, "power", "--model", "uniform:4", "--grid-step", "0.5",
+                           "--out", str(link))
+        assert code == EXIT_OK, err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.csv", "link.csv"]
+        assert link.is_symlink() and target.read_text().startswith("x,")
+        assert target.stat().st_mode & 0o777 == 0o640
+
+    def test_a_new_file_gets_the_default_mode(self, capsys, tmp_path):
+        out = tmp_path / "s.json"
+        code, _, err = run(capsys, "spectrum", "--model", "uniform:4", "--out", str(out))
+        assert code == EXIT_OK, err
+        assert list(tmp_path.iterdir()) == [out]
+        assert out.stat().st_mode & 0o777 == 0o666 & ~cli._umask()
+
+    def test_a_device_is_written(self, capsys, tmp_path):
+        link = tmp_path / "null"
+        link.symlink_to("/dev/null")
+        code, _, err = run(capsys, "spectrum", "--model", "uniform:4", "--out", str(link))
+        assert code == EXIT_OK, err
+        assert list(tmp_path.iterdir()) == [link]
+        assert link.is_symlink() and link.is_char_device()
 
 
 def test_committed_example_outputs_match_the_code():
@@ -394,6 +457,24 @@ def test_committed_example_outputs_match_the_code():
         assert np.abs(table[:, 2] - curve.fa).max() <= 1e-9, name
         assert (int(costs[name]["q0"]), int(costs[name]["qa"])) == (
             curve.meta.max_nodes_null, curve.meta.max_nodes_alt), name
+
+
+def test_examples_writes_the_committed_files(capsys, tmp_path):
+    # `gofpower examples` at its defaults rewrites the committed outputs
+    # byte for byte, except the timing column of costs.csv
+    root = Path(__file__).resolve().parent.parent
+    code, _, err = run(capsys, "examples", "--out-dir", str(tmp_path))
+    assert code == EXIT_OK, err
+    names = [f"{name}{suffix}" for name, _, _ in builtin_examples()
+             for suffix in ("_curve.csv", "_mc.csv", ".svg")]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names + ["costs.csv"])
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (root / name).read_bytes(), name
+
+    def untimed(path):
+        return [row.rsplit(",", 1)[0] for row in path.read_text().splitlines()]
+
+    assert untimed(tmp_path / "costs.csv") == untimed(root / "costs.csv")
 
 
 class TestPoissonModelSpec:

@@ -669,7 +669,7 @@ def test_tail_bound_holds_at_every_head_edge(case, monkeypatch):
     for spec in (alt, alt.null()):
         ell, z2 = spec.ell, float(spec.zeta @ spec.zeta)
         log_rhs = 0.5 * math.sqrt(1.0 + 1.0 / ell) * z2
-        log_tail = quadform._tail_bound(spec)
+        log_tail = spec.plan.log_tail
         xs = [c * spec.mean() for c in TAIL_X]
         head, _ = shifted_heads(spec, xs, monkeypatch)
         edges = [b for _, b in head if b > 1.0 / (1.0 + ell)]
@@ -690,7 +690,7 @@ def test_shifted_heads_are_prefixes_past_a_small_tail(case, monkeypatch):
     alt = tail_bound_spectrum(case)
     eps = 1e-4 * DEFAULT_CONFIG.abs_tol
     for spec in (alt, alt.null()):
-        log_tail = quadform._tail_bound(spec)
+        log_tail = spec.plan.log_tail
         xs = [c * spec.mean() for c in TAIL_X]
         full, windows = shifted_heads(spec, xs, monkeypatch)
         for x, (head, tail_err) in zip(xs, windows):
