@@ -20,7 +20,9 @@ real-axis form's tail is summed over half-periods by Wynn's epsilon
 algorithm.  The shifted contour's first panel starts halved toward 0, as
 bisection would halve it, until it is no wider than 1.5 times the
 distance of the integrand's pole from the axis, so that a point mostly
-meets tolerance on its first integrand call.
+meets tolerance on its first integrand call.  The head's nodes and the
+kernel's factors of y alone are built once, as the plan's node table, and
+a point's first round reads its rows from there.
 """
 
 from __future__ import annotations
@@ -163,10 +165,22 @@ for _j in range(5):
 del _j
 
 
-def _shifted_values(y, x, s2, cnt4, cnt2, z2h, ell):
+def _y_factors(y, ell):
+    """The shifted kernel's factors that depend on the nodes y alone:
+    2(y - 1), 2 sqrt(ell) y, 1 - y, sqrt(ell) y, d_re = y - 1/(1 + ell) and
+    pi |d|^2, stacked on a new first axis."""
+    rt = math.sqrt(ell)
+    d_re = y - 1.0 / (1.0 + ell)
+    d_im = rt / (1.0 + ell)
+    return np.stack([2.0 * (y - 1.0), (2.0 * rt) * y, 1.0 - y, y * rt, d_re,
+                     math.pi * (d_re * d_re + d_im * d_im)])
+
+
+def _shifted_values(y, x, s2, cnt4, cnt2, z2h, ell, factors=None):
     """Shifted-contour integrands of F and, times pi x, of its density (ds for
-    ds/s; Daniels 1954, Ann. Math. Statist. 25:631), a row per CDF argument x.
-    The group constants are ``Plan.kernel_args``.
+    ds/s; Daniels 1954, Ann. Math. Statist. 25:631), a row per CDF argument x
+    (or one x for every row).  The group constants are ``Plan.kernel_args``;
+    ``factors`` are ``_y_factors(y, ell)``, built here when not given.
 
     Real arithmetic throughout: log w = log|w| + i atan2(Im w, Re w) factor
     by factor (a summed principal log), group sums as matrix-vector
@@ -174,11 +188,10 @@ def _shifted_values(y, x, s2, cnt4, cnt2, z2h, ell):
     """
     shape, g = y.shape, s2.size
     rt = math.sqrt(ell)
+    y2m, y2rt, one_y, y_rt, d_re, pi_d2 = _y_factors(y, ell) if factors is None else factors
     a = (s2 / x[:, None])[:, None, :]
-    yc = y[:, :, None]
-    re = (1.0 - 2.0 * (yc - 1.0) * a).reshape(-1, g)
-    im = ((2.0 * rt) * yc * a).reshape(-1, g)
-    y = y.ravel()
+    re = (1.0 - y2m[:, :, None] * a).reshape(-1, g)
+    im = (y2rt[:, :, None] * a).reshape(-1, g)
     r2 = re * re + im * im
     log_mod = np.log(r2) @ cnt4  # sum_k cnt_k/2 log|w_k|
     if __debug__:
@@ -187,17 +200,16 @@ def _shifted_values(y, x, s2, cnt4, cnt2, z2h, ell):
         # per-factor bound: |(1 - w)/w|^2 <= (1 + 1/ell)(1 + 1e-9)^2, with
         # |1 - w|^2 = 1 - 2 Re w + |w|^2
         assert (1.0 - 2.0 * re <= ((1.0 + 1.0 / ell) * (1.0 + 1e-9) ** 2 - 1.0) * r2).all()
-    expo_re = (1.0 - y) - log_mod
-    expo_im = y * rt - np.arctan2(im, re) @ cnt2
+    expo_re = one_y.ravel() - log_mod
+    expo_im = y_rt.ravel() - np.arctan2(im, re) @ cnt2
     if z2h is not None:
         inv = 1.0 / r2
         expo_re += (re * inv - 1.0) @ z2h
         expo_im -= (im * inv) @ z2h
     # Im(e^expo / (pi d)) with d = y - 1/(1 - i rt) = d_re - i d_im
-    d_re = y - 1.0 / (1.0 + ell)
     d_im = rt / (1.0 + ell)
     amp, sin, cos = np.exp(expo_re), np.sin(expo_im), np.cos(expo_im)
-    out = amp * (sin * d_re + cos * d_im) / (math.pi * (d_re * d_re + d_im * d_im))
+    out = amp * (sin * d_re.ravel() + cos * d_im) / pi_d2.ravel()
     return out.reshape(shape), (amp * (rt * cos - sin)).reshape(shape)
 
 
@@ -225,14 +237,24 @@ def _imhof_values(y, x, s2, cnt4, cnt2, z2h, ell):
     return (np.exp(expo_re) * np.sin(expo_im) / (math.pi * y)).reshape(shape)
 
 
-def _eval_panels(f, edges, *args):
-    """Evaluate the embedded pair on panels (rows of ``edges``) in one call
-    f(nodes, *args), 21 abscissae a row; a density's integrand that f returns
-    second gets Kronrod values, else they are NaN."""
+def _node_table(edges, ell: int | None = None) -> tuple:
+    """The node table of panels (a, b), the rows of ``edges``: their
+    half-widths, and an array of their 21 abscissae y a row, with
+    ``_y_factors(y, ell)`` stacked after them given ``ell``."""
+    edges = np.asarray(edges, dtype=float)
     half = 0.5 * (edges[:, 1] - edges[:, 0])
     mid = 0.5 * (edges[:, 0] + edges[:, 1])
-    ys = mid[:, None] + half[:, None] * _NODES
-    fv, *dv = out if isinstance(out := f(ys, *args), tuple) else (out,)
+    ys = (mid[:, None] + half[:, None] * _NODES)[None]
+    return half, ys if ell is None else np.concatenate([ys, _y_factors(ys[0], ell)])
+
+
+def _eval_panels(f, half, table, *args):
+    """Evaluate the embedded pair in one call on panels of half-widths
+    ``half`` and node table ``table`` (see ``_node_table``): f(ys, *args),
+    with the table's factors last if it has any; a density's integrand that
+    f returns second gets Kronrod values, else they are NaN."""
+    ys, factors = table[0], (table[1:],) if len(table) > 1 else ()
+    fv, *dv = out if isinstance(out := f(ys, *args, *factors), tuple) else (out,)
     kron = half * (fv @ _WK_FULL)
     gauss = half * (fv @ _WG_FULL)
     dens = [half * (v @ _WK_FULL) for v in dv]
@@ -270,7 +292,7 @@ def _epsilon_step(diag: list, partial: float) -> list:
 
 
 def _integral(cfg: QuadratureConfig, head: tuple, half_period: float = 0.0,
-              tail_err: float = 0.0):
+              tail_err: float = 0.0, first: list | None = None):
     """One adaptive integral, as a generator.
 
     Each ``yield`` hands out a list of panels (a, b) and receives their
@@ -287,6 +309,8 @@ def _integral(cfg: QuadratureConfig, head: tuple, half_period: float = 0.0,
     head panel is bisected until the summed error estimate is at most
     ``abs_tol``, at most _MAX_BISECTIONS times; the head is kept as the
     parallel lists ``panels``, ``vals``, ``errs`` and ``dens``, in order.
+    Given ``first``, the head's three lists from a round already run, it
+    starts from them and does not ask for the head.
     """
     abs_tol = cfg.abs_tol
     extrap: list = []   # the epsilon extrapolation after each tail panel
@@ -298,7 +322,7 @@ def _integral(cfg: QuadratureConfig, head: tuple, half_period: float = 0.0,
 
     upper = head[-1][1]
     pairs = [*head, *tail_round()] if half_period else head
-    vals, errs, dens = yield pairs
+    vals, errs, dens = (yield pairs) if first is None else first
     n, panels = len(head), list(head)
     more_vals, more_errs = vals[n:], errs[n:]
     del vals[n:], errs[n:], dens[n:]
@@ -397,7 +421,7 @@ def adaptive_integrate(f: Callable, cfg: QuadratureConfig | None = None, *,
         return np.asarray(f(ys.ravel()), dtype=float).reshape(ys.shape)
 
     return _drive([_integral(cfg, _panels(upper, 4))],
-                  lambda edges, _: _eval_panels(values, edges))[0]
+                  lambda edges, _: _eval_panels(values, *_node_table(edges)))[0]
 
 
 def _imhof_windows(xs, s2, cnt, z2, ell: int):
@@ -472,8 +496,8 @@ class Plan:
       zeta^2/2 per group (None when every zeta is 0), and ell;
     * ``step``, the panels one kernel call evaluates;
     * ``log_tail``, the shifted contour's tail bound (``_tail_bound``), and
-      ``head(abs_tol)``, its head panels and their ends, each built on the
-      shifted route's first use.
+      ``head(abs_tol)``, its head panels, their ends and their node table,
+      each built on the shifted route's first use.
     """
 
     def __init__(self, spec: "Spectrum"):
@@ -490,8 +514,10 @@ class Plan:
         return _tail_bound(*self._groups)
 
     def head(self, abs_tol: float) -> tuple:
-        """The shifted contour's head at ``abs_tol``, built once: its panels
-        and their ends.
+        """The shifted contour's head at ``abs_tol``, built once: its panels,
+        their ends and their node table.  The table is the panels'
+        half-widths and an array (7, panels, 21) of their nodes y followed
+        by ``_y_factors(y, ell)``, which depend on no ``x``.
 
         The asserted bounds of _shifted_values give |f(y)| <= rhs e^{5/4-y}
         / (pi (y - 1/2)), whose integral past the head's end is below 0.1
@@ -506,8 +532,62 @@ class Plan:
             upper = max(1.5, 1.25 + log_rhs - math.log(0.1 * math.pi * abs_tol))
             n0 = max(4, math.ceil(upper * math.sqrt(ell) / (4.0 * math.pi)))
             head = _panels(upper, n0, _POLE_PANEL * math.sqrt(ell) / (1.0 + ell))
-            self._heads[abs_tol] = head, [b for _, b in head]
+            self._heads[abs_tol] = head, [b for _, b in head], _node_table(head, ell)
         return self._heads[abs_tol]
+
+    def window(self, x: float, abs_tol: float) -> tuple:
+        """The panels of the shifted head that x integrates, and T at their
+        end: the fewest past whose end the y-dependent bound T is at most
+        _TAIL_SHARE abs_tol, else the whole head."""
+        ends, log_tail = self.head(abs_tol)[1], self.log_tail
+        log_eps = math.log(_TAIL_SHARE * abs_tol)
+        n = 1 + bisect.bisect_left(ends, True, 0, len(ends) - 1,
+                                   key=lambda y: log_tail(x, y) <= log_eps)
+        return n, math.exp(log_tail(x, ends[n - 1]))
+
+
+def _first_rounds(cfg: QuadratureConfig, plan: Plan, xs: np.ndarray, evaluate: Callable):
+    """The rounds ``_drive`` would run first on the shifted contour, run
+    from the node table while every point settles in them.
+
+    Each point of ``xs`` integrates its ``Plan.window``; the windows of
+    _IN_FLIGHT points at a time are evaluated together, a lone point's as
+    slices of the table, a batch's by a gather.  A point that meets abs_tol
+    gets in ``results`` the IntegralResult that ``_integral`` would return.
+    The batch that leaves a point open ends these rounds: ``_drive`` runs on
+    with ``integrals`` for the points ``where``, first one seeded with its
+    first round for each open point, then one for each later point, as it
+    would have taken them up.  Returns (results, where, integrals).
+    """
+    head, _, (half, table) = plan.head(cfg.abs_tol)
+    windows = [plan.window(x, cfg.abs_tol) for x in xs.tolist()]
+    results: list = [None] * xs.size
+    seeded, k = [], 0
+    while k < xs.size and not seeded:
+        batch = windows[k:k + _IN_FLIGHT]
+        if len(batch) == 1:
+            n = batch[0][0]
+            out = evaluate(xs[k:k + 1], half[:n], table[:, :n])
+        else:
+            sizes = [n for n, _ in batch]
+            rows = np.arange(sum(sizes)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+            out = evaluate(np.repeat(xs[k:k + len(batch)], sizes), half, table, rows)
+        out = [a.tolist() for a in out]
+        lo = 0
+        for i, (n, tail_err) in enumerate(batch, k):
+            first = [a[lo:lo + n] for a in out]
+            lo += n
+            err_sum = math.fsum(first[1]) + tail_err
+            if err_sum <= cfg.abs_tol:
+                results[i] = IntegralResult(math.fsum(first[0]), err_sum, PANEL_SIZE * n,
+                                            True, math.fsum(first[2]))
+            else:
+                seeded.append((i, _integral(cfg, head[:n], tail_err=tail_err, first=first)))
+        k += len(batch)
+    where = [i for i, _ in seeded] + list(range(k, xs.size))
+    integrals = itertools.chain((gen for _, gen in seeded),
+                                (_integral(cfg, head[:n], tail_err=t) for n, t in windows[k:]))
+    return results, where, integrals
 
 
 def cdf_many(xs, spec: "Spectrum", cfg: QuadratureConfig | None = None,
@@ -523,7 +603,9 @@ def cdf_many(xs, spec: "Spectrum", cfg: QuadratureConfig | None = None,
     panel values; the points share only integrand calls, which is what
     makes a grid cheap.  Batching can change a point's integrand values
     by rounding (the group sums are matrix-vector products), not more.
-    What depends on the spectrum alone comes from ``spec.plan``.
+    What depends on the spectrum alone comes from ``spec.plan``.  On the
+    shifted contour, the first rounds read the head's node table and
+    settle every point that meets tolerance there (``_first_rounds``).
     """
     cfg = cfg or DEFAULT_CONFIG
     xs = [float(x) for x in xs]
@@ -535,33 +617,34 @@ def cdf_many(xs, spec: "Spectrum", cfg: QuadratureConfig | None = None,
     shifted = method is Method.SHIFTED_CONTOUR
     kernel = _shifted_values if shifted else _imhof_values
     positive = np.array([x for x in xs if x > 0.0])
+    step, args, ell = plan.step, plan.kernel_args, spec.ell if shifted else None
+
+    def evaluate(xr, half, table, rows=None):
+        # the panels half[rows], table[:, rows] (all of them, in order, when
+        # rows is None), plan.step a kernel call; the j-th at x xr[j], or
+        # every one at xr's lone x
+        parts, total = [], half.size if rows is None else rows.size
+        for k in range(0, total, step):
+            pick = slice(k, k + step) if rows is None else rows[k:k + step]
+            parts.append(_eval_panels(kernel, half[pick], table[:, pick],
+                                      xr if xr.size == 1 else xr[k:k + step], *args))
+        return parts[0] if len(parts) == 1 else [np.concatenate(p) for p in zip(*parts)]
+
     if shifted:
-        # each x keeps the fewest head panels past whose end the y-dependent
-        # bound T is at most _TAIL_SHARE abs_tol, else the whole head, and
-        # adds T at its window's end to its estimate
-        head, ends = plan.head(cfg.abs_tol)
-        log_tail, log_eps = plan.log_tail, math.log(_TAIL_SHARE * cfg.abs_tol)
-
-        def window(x):
-            j = bisect.bisect_left(ends, True, 0, len(ends) - 1,
-                                   key=lambda y: log_tail(x, y) <= log_eps)
-            return head[:j + 1], math.exp(log_tail(x, ends[j]))
-
-        integrals = (_integral(cfg, h, tail_err=t)
-                     for h, t in map(window, positive.tolist()))
+        results, where, integrals = _first_rounds(cfg, plan, positive, evaluate)
     else:
+        results, where = [None] * positive.size, range(positive.size)
         heads, halves = _imhof_windows(positive, *spec.groups)
         # one head panel per 2 pi: the phase runs at about unit speed
         integrals = (_integral(cfg, _panels(y, math.ceil(y / (2.0 * math.pi))), h)
                      for y, h in zip(heads, halves))
-    step, args = plan.step, plan.kernel_args
-
-    def evaluate(edges, owners):
-        parts = [_eval_panels(kernel, edges[k:k + step], positive[owners[k:k + step]], *args)
-                 for k in range(0, len(edges), step)]
-        return tuple(np.concatenate(p) for p in zip(*parts))
-
-    results = iter(_drive(integrals, evaluate))
+    if where:
+        x_of = positive[where]
+        done = _drive(integrals, lambda edges, owners: evaluate(
+            x_of[owners], *_node_table(edges, ell)))
+        for i, res in zip(where, done):
+            results[i] = res
+    results = iter(results)
     out = []
     for x in xs:
         if x <= 0.0:

@@ -26,6 +26,11 @@ at a time, so memory is O(m) per row of the block, not O(m^2).
 Every secular root lies strictly between two poles, and every tied
 eigenvalue is a pole, so each nonzero eigenvalue is at least 1/max p0 > 0:
 every p0 > 0 has a limit law, whatever its ratio max p0 / min p0.
+
+When sum p0 != 1, the law computed is that of H diag(1/p0) H with p0 as
+given, not renormalized.  The covariance form diag(p0) - p0 p0^T gives the
+same law only when sum p0 = 1: the truncated Poisson p0 of examples 3 and
+4 sums to 1 - 8.3e-11, and there the two differ by about 4.2e-11 relative.
 """
 
 from __future__ import annotations
@@ -81,6 +86,9 @@ class Spectrum:
     vanish, and +inf when the summed exponent passes the double range.
     ``groups`` is the law as the integrands use it, built once here:
     (sigma^2 per group, multiplicity, summed zeta^2, ell), read-only.
+    ``secular_sweeps`` is the most sweeps a block of ``compute_spectrum``'s
+    secular solve took (0 when it solved no gap, or did not make this
+    spectrum); ``null()`` keeps it.
     """
 
     sigma: np.ndarray
@@ -88,6 +96,7 @@ class Spectrum:
     ell: int = field(init=False)
     stability_rhs: float = field(init=False)
     groups: tuple = field(init=False, repr=False)
+    secular_sweeps: int = field(init=False, repr=False, default=0)
 
     def __post_init__(self):
         sigma = np.asarray(self.sigma, dtype=float)
@@ -117,7 +126,9 @@ class Spectrum:
         sigma depends on p0 alone, so this equals ``compute_spectrum`` on
         the zero perturbation without a second eigendecomposition.
         """
-        return Spectrum(self.sigma, np.zeros(self.ell))
+        null = Spectrum(self.sigma, np.zeros(self.ell))
+        object.__setattr__(null, "secular_sweeps", self.secular_sweeps)
+        return null
 
     @functools.cached_property
     def plan(self) -> Plan:
@@ -208,22 +219,23 @@ def _secular_solve(p0):
     """The part of ``eigendecompose`` that depends on p0 alone: the distinct
     poles r_g = 1/p0 ascending, each bin's group ``which``, the counts c_g
     (int and float), each block's (pole, tau), and the nonzero eigenvalues
-    in ascending ``order``."""
+    in ascending ``order``, and the most sweeps a block took."""
     poles, which, cnt = np.unique(1.0 / p0, return_inverse=True, return_counts=True)
     weight = cnt.astype(float)
-    blocks = [_secular_roots(poles, weight, slice(start, start + _BLOCK))[:2]
+    solved = [_secular_roots(poles, weight, slice(start, start + _BLOCK))
               for start in range(0, poles.size - 1, _BLOCK)]
+    blocks = [(pole, tau) for pole, tau, _ in solved]
     # tied groups: r_g itself, c_g - 1 times
     lam = np.concatenate([np.repeat(poles, cnt - 1), *(pole + tau for pole, tau in blocks)])
     order = np.argsort(lam, kind="stable")
     lam = lam[order]
     lam.flags.writeable = False   # shared by every projection of this solve
-    return poles, which, cnt, weight, blocks, lam, order
+    return poles, which, cnt, weight, blocks, lam, order, max((s for *_, s in solved), default=0)
 
 
 def _project(solve, a):
     """(lambda, eta) of ``eigendecompose`` from p0's ``_secular_solve``."""
-    poles, which, cnt, weight, blocks, lam, order = solve
+    poles, which, cnt, weight, blocks, lam, order, _ = solve
     sum_a = np.bincount(which, a)
     spread = np.bincount(which, (a - (sum_a / cnt)[which]) ** 2)
     eta = [np.zeros(which.size - poles.size)]   # the tied eigenvalues, sum(c_g - 1)
@@ -297,5 +309,8 @@ def compute_spectrum(model: ProbabilityModel, pert: Perturbation) -> Spectrum:
         lam, eta = _project(solve, pert.entries)
     else:
         lam, eta = eigendecompose(model.probs, pert.entries)
+        solve = _recent[1]
     sigma = 1.0 / np.sqrt(lam)
-    return Spectrum(sigma, eta / sigma)
+    spec = Spectrum(sigma, eta / sigma)
+    object.__setattr__(spec, "secular_sweeps", solve[-1])
+    return spec

@@ -54,8 +54,10 @@ def power_overlay_svg(fh, asymptotic_alpha, asymptotic_power,
     parts.append(f'<text x="16" y="{_SIZE / 2}" font-size="13" text-anchor="middle" '
                  f'transform="rotate(-90 16 {_SIZE / 2})">power</text>')
     if title:
+        # as xml.sax.saxutils.escape would, without its urllib and ssl imports
+        text = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         parts.append(f'<text x="{_SIZE / 2}" y="30" font-size="14" '
-                     f'text-anchor="middle">{title}</text>')
+                     f'text-anchor="middle">{text}</text>')
     parts.append(_polyline([0.0, 1.0], [0.0, 1.0], "gray", 1.0, dash="4,4"))
     if empirical_alpha is not None and len(np.atleast_1d(empirical_alpha)):
         parts.append(_polyline(empirical_alpha, empirical_power, "green", 2.0))

@@ -3,6 +3,7 @@
 import csv
 import json
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from gofpower.cli import EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK, main
 from gofpower.model import builtin_examples
 from gofpower.power import default_grid, power_curve
 from gofpower.quadform import DEFAULT_CONFIG
+from gofpower.svgplot import power_overlay_svg
 
 CHI9_95_OVER_10 = 1.691898
 
@@ -213,6 +215,14 @@ class TestPowerCommand:
         assert code == EXIT_OK
         text = svg_path.read_text()
         assert text.startswith("<svg") and "polyline" in text
+
+    @pytest.mark.parametrize("title", ['p0 < 0.5 & a = e1', 'a "quoted" <b> & c'])
+    def test_svg_title_is_escaped(self, tmp_path, title):
+        path = tmp_path / "c.svg"
+        with path.open("w") as fh:
+            power_overlay_svg(fh, [0.0, 0.5, 1.0], [0.0, 0.7, 1.0], title=title)
+        texts = ElementTree.parse(path).getroot().iter("{http://www.w3.org/2000/svg}text")
+        assert title in [t.text for t in texts]
 
     @pytest.mark.parametrize("flags, text", [
         (["--grid-max", "inf"], "grid maximum must be finite and positive, got inf"),

@@ -506,7 +506,7 @@ def test_per_factor_bound_forms_agree_in_sign(case):
         specs = [random_spectrum(np.random.default_rng([3001, case]))]
     for spec in specs:
         s2, _, _, ell = spec.groups
-        head, _ = spec.plan.head(DEFAULT_CONFIG.abs_tol)
+        head, _, _ = spec.plan.head(DEFAULT_CONFIG.abs_tol)
         y = np.array([0.5 * (lo + hi) + 0.5 * (hi - lo) * t for lo, hi in head
                       for t in quadform._NODES])[:, None]
         k = (1.0 + 1.0 / ell) * (1.0 + 1e-9) ** 2
@@ -556,25 +556,139 @@ class TestCdfMany:
 @pytest.mark.parametrize("case", range(4))
 def test_shifted_point_closes_in_its_head_round(case, monkeypatch):
     # the head's first panel is graded toward the pole of 1/d, so a lone
-    # point meets tolerance on its first integrand call, with no bisection
+    # point meets tolerance on its first integrand call, with no bisection;
+    # that call reads the plan's node table: it builds no nodes from edges
+    # and no kernel factors from nodes
     _, model, pert = builtin_examples()[case]
     alt = compute_spectrum(model, pert)
     null = alt.null()
-    calls = []
+    calls, built = [], []
     real = quadform._eval_panels
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         calls.append(1)
-        return real(*args)
+        return real(*args, **kwargs)
+
+    def building(build):
+        def wrapper(*args, **kwargs):
+            built.append(build.__name__)
+            return build(*args, **kwargs)
+        return wrapper
 
     monkeypatch.setattr(quadform, "_eval_panels", counting)
+    for name in ("_node_table", "_y_factors"):
+        monkeypatch.setattr(quadform, name, building(getattr(quadform, name)))
     # example 4's alternative takes the real-axis route
     for spec in (null, alt) if case < 3 else (null,):
+        spec.plan.head(DEFAULT_CONFIG.abs_tol)
         for c in (0.5, 1.0, 2.0):
             calls.clear()
+            built.clear()
             ev = cdf(c * null.mean(), spec)
             assert ev.method is Method.SHIFTED_CONTOUR and ev.converged
             assert len(calls) == 1
+            assert built == []
+
+
+def table_spectra():
+    """The four examples' nulls and alternatives, and 20 seeded spectra."""
+    specs = []
+    for _, model, pert in builtin_examples():
+        alt = compute_spectrum(model, pert)
+        specs += [alt.null(), alt]
+    rng = np.random.default_rng(3131)
+    return specs + [random_spectrum(rng) for _ in range(20)]
+
+
+@pytest.mark.parametrize("abs_tol", [1e-9, 1e-12])
+def test_node_table_matches_the_heads_edges(abs_tol):
+    # the plan's node table holds, bit for bit, the half-widths and nodes
+    # that the panel sums, and the y-only factors that the shifted kernel,
+    # would build from the head's edges
+    for spec in table_spectra():
+        head, ends, (half, table) = spec.plan.head(abs_tol)
+        edges = np.array(head)
+        want_half = 0.5 * (edges[:, 1] - edges[:, 0])
+        y = 0.5 * (edges[:, 0] + edges[:, 1])[:, None] + want_half[:, None] * quadform._NODES
+        ell = spec.ell
+        rt = math.sqrt(ell)
+        d_re, d_im = y - 1.0 / (1.0 + ell), rt / (1.0 + ell)
+        want = [y, 2.0 * (y - 1.0), (2.0 * rt) * y, 1.0 - y, y * rt, d_re,
+                math.pi * (d_re * d_re + d_im * d_im)]
+        assert ends == edges[:, 1].tolist()
+        assert half.tobytes() == want_half.tobytes()
+        assert table.shape == (len(want), len(head), quadform.PANEL_SIZE)
+        for k, rows in enumerate(want):
+            assert table[k].tobytes() == rows.tobytes(), k
+
+
+def integrals_on_edges(spec, xs, cfg):
+    """The shifted route as it ran before the node table: every point's
+    ``_integral`` driven from its first round, on nodes and kernel factors
+    built from the panels' edges in each ``plan.step`` chunk, an x a row."""
+    plan, x = spec.plan, np.array(xs)
+    head, _, _ = plan.head(cfg.abs_tol)
+
+    def evaluate(edges, owners):
+        parts = []
+        for k in range(0, len(edges), plan.step):
+            e = edges[k:k + plan.step]
+            half = 0.5 * (e[:, 1] - e[:, 0])
+            ys = 0.5 * (e[:, 0] + e[:, 1])[:, None] + half[:, None] * quadform._NODES
+            parts.append(quadform._eval_panels(_shifted_values, half, ys[None],
+                                               x[owners[k:k + plan.step]], *plan.kernel_args))
+        return tuple(np.concatenate(p) for p in zip(*parts))
+
+    windows = [plan.window(v, cfg.abs_tol) for v in xs]
+    return quadform._drive([quadform._integral(cfg, head[:n], tail_err=t) for n, t in windows],
+                           evaluate)
+
+
+@pytest.mark.parametrize("abs_tol", [1e-9, 1e-12])
+@pytest.mark.parametrize("case", range(3))
+def test_first_rounds_equal_integrals_on_edges(case, abs_tol):
+    # a point settled on the table's rows returns, field by field, what
+    # _integral returns on the same panels built from their edges, and so
+    # does a point left open, seeded with its first round; 189 points span
+    # two batches, and at 1e-12 some first rounds leave points open
+    _, model, pert = builtin_examples()[case]
+    alt = compute_spectrum(model, pert)
+    cfg = QuadratureConfig(abs_tol)
+    for spec in (alt.null(), alt):
+        xs = (default_grid()[::53] * (spec.mean() / 2.5)).tolist()
+        want = integrals_on_edges(spec, xs, cfg)
+        got = cdf_many(xs, spec, cfg, Method.SHIFTED_CONTOUR)
+        pairs = list(zip(got, want, xs))
+        for x in xs[::40]:
+            pairs.append((cdf(x, spec, cfg, Method.SHIFTED_CONTOUR),
+                          integrals_on_edges(spec, [x], cfg)[0], x))
+        for ev, res, x in pairs:
+            assert (ev.value, ev.abs_error_estimate, ev.nodes_used, ev.converged, ev.density) == (
+                min(1.0, max(0.0, res.value)), res.error_estimate, res.nodes_used,
+                res.converged, res.density / (math.pi * x))
+        if abs_tol == 1e-9:
+            assert all(res.nodes_used == quadform.PANEL_SIZE * n
+                       for res, (n, _) in zip(want, map(lambda v: spec.plan.window(v, abs_tol), xs)))
+
+
+@pytest.mark.parametrize("cs", [[1.0], [0.5, 1.0, 2.0]], ids=["lone", "batch"])
+def test_nan_on_table_rows_raises_at_first_bad_node(spec61, cs, monkeypatch):
+    # a lone point's rows are a slice of the node table, a batch's a gather
+    real, first = quadform._shifted_values, []
+    _, _, (_, table) = spec61.plan.head(DEFAULT_CONFIG.abs_tol)
+
+    def f_nan(y, *args):
+        f, d = real(y, *args)
+        f = f.copy()
+        f.flat[[23, 40]] = np.nan
+        first.append(float(y.flat[23]))
+        return f, d
+
+    monkeypatch.setattr(quadform, "_shifted_values", f_nan)
+    with pytest.raises(NumericalFailureError) as err:
+        cdf_many([c * spec61.mean() for c in cs], spec61)
+    assert err.value.y == first[0]
+    assert first[0] in table[0]
 
 
 def test_error_estimate_holds_on_seeded_spectra():
@@ -638,21 +752,26 @@ def shifted_heads(spec, xs, monkeypatch):
     """cdf_many's shifted head for the spectrum, and each point's window:
     the panels it integrates and the tail term of its estimate."""
     full, windows = [], []
-    panels, integral = quadform._panels, quadform._integral
+    panels, window = quadform._panels, quadform.Plan.window
 
     def record_panels(*args):
         full.append(panels(*args))
         return full[-1]
 
-    def record_integral(cfg, head, **kwargs):
-        windows.append((head, kwargs["tail_err"]))
-        return integral(cfg, head, **kwargs)
+    def record_window(plan, x, abs_tol):
+        n, tail_err = window(plan, x, abs_tol)
+        windows.append((full[0][:n], tail_err))
+        return n, tail_err
 
     monkeypatch.setattr(quadform, "_panels", record_panels)
-    monkeypatch.setattr(quadform, "_integral", record_integral)
+    monkeypatch.setattr(quadform.Plan, "window", record_window)
     evs = cdf_many(xs, spec)
     monkeypatch.undo()
     assert all(ev.method is Method.SHIFTED_CONTOUR and ev.converged for ev in evs)
+    # one window a point, whose panels the point integrated, bisected or not
+    assert len(windows) == len(xs)
+    assert all(ev.nodes_used >= quadform.PANEL_SIZE * len(head) and ev.abs_error_estimate >= t
+               for ev, (head, t) in zip(evs, windows))
     return full[0], windows
 
 

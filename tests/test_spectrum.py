@@ -24,6 +24,7 @@ from gofpower.model import (
 from gofpower import spectrum
 from gofpower.spectrum import (
     _BLOCK,
+    _MAX_SWEEPS,
     Spectrum,
     _secular_roots,
     compute_spectrum,
@@ -479,6 +480,30 @@ class TestSecularSolveCache:
         compute_spectrum(model, zero_perturbation(m))
         compute_spectrum(model, pert)
         assert calls == [slice(k, k + _BLOCK) for k in range(0, m - 1, _BLOCK)]
+
+
+class TestSecularSweeps:
+    """``Spectrum.secular_sweeps`` reports the secular solve's sweep count."""
+
+    @pytest.mark.parametrize("m", [3, 12, 300])
+    def test_null_and_alternative_report_one_solve(self, m):
+        model, pert = random_model_pert(np.random.default_rng(m), m)
+        null = compute_spectrum(model, zero_perturbation(m))
+        alt = compute_spectrum(model, pert)
+        assert 1 <= alt.secular_sweeps <= _MAX_SWEEPS
+        assert null.secular_sweeps == alt.secular_sweeps == alt.null().secular_sweeps
+
+    def test_zero_without_a_solved_gap(self):
+        assert Spectrum([1.0, 2.0], [0.5, 0.0]).secular_sweeps == 0
+        spec = compute_spectrum(uniform_model(6), alternating_perturbation(6, 0.1))
+        assert spec.secular_sweeps == spec.null().secular_sweeps == 0
+
+    def test_not_in_repr_or_json(self):
+        _, model, pert = builtin_examples()[2]
+        spec = compute_spectrum(model, pert)
+        assert spec.secular_sweeps > 0
+        assert "secular_sweeps" not in repr(spec)
+        assert "secular_sweeps" not in spec.to_json()
 
 
 class TestSpectrumType:
