@@ -22,7 +22,11 @@ bisection would halve it, until it is no wider than 1.5 times the
 distance of the integrand's pole from the axis, so that a point mostly
 meets tolerance on its first integrand call.  The head's nodes and the
 kernel's factors of y alone are built once, as the plan's node table, and
-a point's first round reads its rows from there.
+a point's first round reads its rows from there.  One round loop,
+``_integrate``, runs the integrals of both forms, and of
+``adaptive_integrate``: each round, every open integral asks for its next
+tail panels or the halves of its worst head panel, and one integrand call
+evaluates them all.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ from __future__ import annotations
 import bisect
 import enum
 import functools
-import itertools
 import math
 import sys
 import warnings
@@ -108,6 +111,7 @@ class CdfEvaluation:
     method: Method
     converged: bool = True
     density: float = math.nan
+    bisections: int = 0
 
 
 @dataclass(frozen=True)
@@ -117,6 +121,7 @@ class IntegralResult:
     nodes_used: int
     converged: bool
     density: float
+    bisections: int = 0
 
 
 # 10-point Gauss / 21-point Kronrod nodes and weights on [-1, 1]
@@ -291,118 +296,107 @@ def _epsilon_step(diag: list, partial: float) -> list:
     return new
 
 
-def _integral(cfg: QuadratureConfig, head: tuple, half_period: float = 0.0,
-              tail_err: float = 0.0, first: list | None = None):
-    """One adaptive integral, as a generator.
+def _integrate(cfg: QuadratureConfig, heads: list, tail_err: list, evaluate: Callable,
+               half_periods: list | None = None, first: list | None = None) -> list:
+    """The adaptive integrals over the panel lists ``heads``, run in rounds;
+    returns the fields of their IntegralResults, in order, as tuples.
 
-    Each ``yield`` hands out a list of panels (a, b) and receives their
-    Kronrod values, error estimates and density values as three lists; it
-    returns the IntegralResult.  It decides what to evaluate from the first
-    two alone, not from what else runs beside it.
-
-    It starts from the ``head`` panels, which end at ``upper``, with
-    ``tail_err`` bounding what lies past them.  With a ``half_period``, the
-    integral runs on past ``upper`` in panels that wide, _TAIL_ROUND at a
+    Integral i starts from the panels ``heads[i]``, which end at upper, with
+    ``tail_err[i]`` bounding what lies past them.  Given ``half_periods``,
+    it runs on past upper in panels half_periods[i] wide, _TAIL_ROUND at a
     time, whose partial sums are extrapolated by Wynn's epsilon algorithm
     (QUADPACK's dqawf) until the last three extrapolations agree to a
-    tenth of ``abs_tol``, or _TAIL_PANELS have been spent.  Then the worst
+    tenth of ``abs_tol``, or _TAIL_PANELS have been spent.  Then its worst
     head panel is bisected until the summed error estimate is at most
-    ``abs_tol``, at most _MAX_BISECTIONS times; the head is kept as the
-    parallel lists ``panels``, ``vals``, ``errs`` and ``dens``, in order.
-    Given ``first``, the head's three lists from a round already run, it
-    starts from them and does not ask for the head.
-    """
-    abs_tol = cfg.abs_tol
-    extrap: list = []   # the epsilon extrapolation after each tail panel
+    ``abs_tol``, at most _MAX_BISECTIONS times.  Each head is kept as the
+    parallel lists ``panels``, ``vals``, ``errs`` and ``dens``, in order,
+    and each integral decides from its own values alone.
 
-    def tail_round():
-        k = len(extrap)
-        edges = (upper + half_period * np.arange(k, k + _TAIL_ROUND + 1)).tolist()
+    Each round, the panels that the open integrals ask for are stacked in
+    order into one array and evaluated by ``evaluate(edges, owners)``, where
+    ``owners[j]`` is the i that asked for panel j; it returns their Kronrod
+    values, error estimates and density values.  ``first``, those three for
+    every head's panels in order, stands in for the first round's call when
+    no head has a tail.
+    """
+    abs_tol, count = cfg.abs_tol, len(heads)
+    periods = half_periods or [0.0] * count
+    tail_err, panels, results = list(tail_err), list(heads), [None] * count
+    vals, errs, dens = [None] * count, [None] * count, [None] * count
+    # each tail's epsilon table diagonal, partial sum and extrapolation after
+    # each panel (lists replaced, never changed in place, so they start
+    # shared), and whether it closed (None while it runs)
+    diags, partial, extrap = [[]] * count, [0.0] * count, [[]] * count
+    tail_ok = [None if half_periods else True] * count
+
+    def tail_round(i):
+        k, upper = len(extrap[i]), heads[i][-1][1]
+        edges = (upper + periods[i] * np.arange(k, k + _TAIL_ROUND + 1)).tolist()
         return list(zip(edges[:-1], edges[1:]))
 
-    upper = head[-1][1]
-    pairs = [*head, *tail_round()] if half_period else head
-    vals, errs, dens = (yield pairs) if first is None else first
-    n, panels = len(head), list(head)
-    more_vals, more_errs = vals[n:], errs[n:]
-    del vals[n:], errs[n:], dens[n:]
-    diag: list = []
-    partial = tail = 0.0
-    tail_ok = True
-    while half_period:
-        tail_err += math.fsum(more_errs)
-        for v in more_vals:
-            partial += v
-            diag = _epsilon_step(diag, partial)
-            extrap.append(diag[(len(diag) - 1) & ~1])
-        tail = extrap[-1]
-        spread = abs(tail - extrap[-2]) + abs(tail - extrap[-3])
-        tail_ok = spread <= 0.1 * abs_tol
-        if tail_ok or len(extrap) >= _TAIL_PANELS:
-            tail_err += spread
-            break
-        more_vals, more_errs, _ = yield tail_round()
-
-    # refine the worst head panel until the summed error meets tolerance
-    for _ in range(_MAX_BISECTIONS):
-        if math.fsum(errs) + tail_err <= abs_tol:
-            break
-        i = errs.index(max(errs))
-        a, b = panels[i]
-        mid = 0.5 * (a + b)
-        panels[i:i + 1] = halves = (a, mid), (mid, b)
-        vals[i:i + 1], errs[i:i + 1], dens[i:i + 1] = yield halves
-
-    err_sum = math.fsum(errs) + tail_err
-    converged = tail_ok and err_sum <= abs_tol
-    if not converged:
-        cause = "budget exhausted" if tail_ok else "oscillatory tail unresolved"
-        # attributed to the first frame outside this package
-        frame, level = sys._getframe(), 1
-        while frame is not None and frame.f_globals.get("__package__") == __package__:
-            frame, level = frame.f_back, level + 1
-        warnings.warn(
-            f"adaptive quadrature {cause} (error estimate {err_sum:.3e}, "
-            f"upper limit {upper + half_period * len(extrap):g})",
-            RuntimeWarning, stacklevel=level)
-    # each bisection evaluated two panels and added one
-    nodes = PANEL_SIZE * (2 * len(panels) - n + len(extrap))
-    return IntegralResult(math.fsum(vals) + tail, err_sum, nodes, converged,
-                          math.fsum(dens))
-
-
-def _drive(integrals, evaluate: Callable) -> list:
-    """Run the generators of ``integrals`` in rounds; return their results.
-
-    The generators are taken up in order as others finish, at most
-    ``_IN_FLIGHT`` live at once.  Each round resumes every live one once:
-    the panels they ask for are stacked into one array and evaluated by
-    ``evaluate(edges, owners)``, where ``owners[j]`` is the position in
-    ``integrals`` of the one that asked for panel j; each generator is sent
-    its slices of the outputs as lists.
-    """
-    results: list = []
-    pending = enumerate(integrals)
-    live = []   # (position, generator, the panels it asked for)
-    while True:
-        for i, gen in itertools.islice(pending, _IN_FLIGHT - len(live)):
-            results.append(None)
-            live.append((i, gen, next(gen)))
-        if not live:
-            return results
-        counts = [len(pairs) for _, _, pairs in live]
-        edges = np.array([p for _, _, pairs in live for p in pairs])
-        owners = np.repeat([i for i, _, _ in live], counts)
-        out = [a.tolist() for a in evaluate(edges, owners)]
-        still = []
-        lo = 0
-        for (i, gen, _), n in zip(live, counts):
-            try:
-                still.append((i, gen, gen.send([a[lo:lo + n] for a in out])))
-            except StopIteration as done:
-                results[i] = done.value
-            lo += n
-        live = still
+    # integral i asks for ``pairs``: the halves of its head panel j, or else
+    # its head in the first round and its next tail panels
+    asks = [(i, None, [*head, *tail_round(i)] if half_periods else head)
+            for i, head in enumerate(heads)]
+    out = first
+    while asks:
+        if out is None:
+            out = evaluate(np.array([p for *_, pairs in asks for p in pairs]),
+                           np.repeat([i for i, *_ in asks], [len(pairs) for *_, pairs in asks]))
+        out = [a.tolist() for a in out]
+        lo, now, asks = 0, asks, []
+        for i, j, pairs in now:
+            v, e, d = [a[lo:lo + len(pairs)] for a in out]
+            lo += len(pairs)
+            if j is not None:
+                vals[i][j:j + 1], errs[i][j:j + 1], dens[i][j:j + 1] = v, e, d
+            elif vals[i] is None:
+                vals[i], errs[i], dens[i] = v, e, d
+                if tail_ok[i] is None:   # its first tail round follows its head
+                    n = len(heads[i])
+                    v, e = v[n:], e[n:]
+                    del vals[i][n:], errs[i][n:], dens[i][n:]
+            if tail_ok[i] is None:
+                tail_err[i] += math.fsum(e)
+                diag, total, ext = diags[i], partial[i], [*extrap[i]]
+                for value in v:
+                    total += value
+                    diag = _epsilon_step(diag, total)
+                    ext.append(diag[(len(diag) - 1) & ~1])
+                diags[i], partial[i], extrap[i] = diag, total, ext
+                spread = abs(ext[-1] - ext[-2]) + abs(ext[-1] - ext[-3])
+                if spread > 0.1 * abs_tol and len(extrap[i]) < _TAIL_PANELS:
+                    asks.append((i, None, tail_round(i)))
+                    continue
+                tail_ok[i] = spread <= 0.1 * abs_tol
+                tail_err[i] += spread
+            # refine the worst head panel until the summed error meets tolerance
+            bisections = len(panels[i]) - len(heads[i])
+            err_sum = math.fsum(errs[i]) + tail_err[i]
+            if err_sum > abs_tol and bisections < _MAX_BISECTIONS:
+                j = errs[i].index(max(errs[i]))
+                a, b = panels[i][j]
+                mid = 0.5 * (a + b)
+                panels[i] = [*panels[i][:j], (a, mid), (mid, b), *panels[i][j + 1:]]
+                asks.append((i, j, panels[i][j:j + 2]))
+                continue
+            converged = tail_ok[i] and err_sum <= abs_tol
+            if not converged:
+                upper = heads[i][-1][1] + periods[i] * len(extrap[i])
+                cause = "budget exhausted" if tail_ok[i] else "oscillatory tail unresolved"
+                # attributed to the first frame outside this package
+                frame, level = sys._getframe(), 1
+                while frame is not None and frame.f_globals.get("__package__") == __package__:
+                    frame, level = frame.f_back, level + 1
+                warnings.warn(
+                    f"adaptive quadrature {cause} (error estimate {err_sum:.3e}, "
+                    f"upper limit {upper:g})", RuntimeWarning, stacklevel=level)
+            # each bisection evaluated two panels and added one
+            nodes = PANEL_SIZE * (len(heads[i]) + 2 * bisections + len(extrap[i]))
+            results[i] = (math.fsum(vals[i]) + (extrap[i] or [0.0])[-1], err_sum, nodes,
+                          converged, math.fsum(dens[i]), bisections)
+        out = None
+    return results
 
 
 def adaptive_integrate(f: Callable, cfg: QuadratureConfig | None = None, *,
@@ -420,8 +414,8 @@ def adaptive_integrate(f: Callable, cfg: QuadratureConfig | None = None, *,
     def values(ys):
         return np.asarray(f(ys.ravel()), dtype=float).reshape(ys.shape)
 
-    return _drive([_integral(cfg, _panels(upper, 4))],
-                  lambda edges, _: _eval_panels(values, *_node_table(edges)))[0]
+    return IntegralResult(*_integrate(cfg, [_panels(upper, 4)], [0.0], lambda edges, _:
+                                      _eval_panels(values, *_node_table(edges)))[0])
 
 
 def _imhof_windows(xs, s2, cnt, z2, ell: int):
@@ -497,7 +491,9 @@ class Plan:
     * ``step``, the panels one kernel call evaluates;
     * ``log_tail``, the shifted contour's tail bound (``_tail_bound``), and
       ``head(abs_tol)``, its head panels, their ends and their node table,
-      each built on the shifted route's first use.
+      each built on the shifted route's first use; ``window(x, abs_tol)``
+      picks a point's prefix of the head, whose rows of the table its
+      first round reads.
     """
 
     def __init__(self, spec: "Spectrum"):
@@ -546,50 +542,6 @@ class Plan:
         return n, math.exp(log_tail(x, ends[n - 1]))
 
 
-def _first_rounds(cfg: QuadratureConfig, plan: Plan, xs: np.ndarray, evaluate: Callable):
-    """The rounds ``_drive`` would run first on the shifted contour, run
-    from the node table while every point settles in them.
-
-    Each point of ``xs`` integrates its ``Plan.window``; the windows of
-    _IN_FLIGHT points at a time are evaluated together, a lone point's as
-    slices of the table, a batch's by a gather.  A point that meets abs_tol
-    gets in ``results`` the IntegralResult that ``_integral`` would return.
-    The batch that leaves a point open ends these rounds: ``_drive`` runs on
-    with ``integrals`` for the points ``where``, first one seeded with its
-    first round for each open point, then one for each later point, as it
-    would have taken them up.  Returns (results, where, integrals).
-    """
-    head, _, (half, table) = plan.head(cfg.abs_tol)
-    windows = [plan.window(x, cfg.abs_tol) for x in xs.tolist()]
-    results: list = [None] * xs.size
-    seeded, k = [], 0
-    while k < xs.size and not seeded:
-        batch = windows[k:k + _IN_FLIGHT]
-        if len(batch) == 1:
-            n = batch[0][0]
-            out = evaluate(xs[k:k + 1], half[:n], table[:, :n])
-        else:
-            sizes = [n for n, _ in batch]
-            rows = np.arange(sum(sizes)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-            out = evaluate(np.repeat(xs[k:k + len(batch)], sizes), half, table, rows)
-        out = [a.tolist() for a in out]
-        lo = 0
-        for i, (n, tail_err) in enumerate(batch, k):
-            first = [a[lo:lo + n] for a in out]
-            lo += n
-            err_sum = math.fsum(first[1]) + tail_err
-            if err_sum <= cfg.abs_tol:
-                results[i] = IntegralResult(math.fsum(first[0]), err_sum, PANEL_SIZE * n,
-                                            True, math.fsum(first[2]))
-            else:
-                seeded.append((i, _integral(cfg, head[:n], tail_err=tail_err, first=first)))
-        k += len(batch)
-    where = [i for i, _ in seeded] + list(range(k, xs.size))
-    integrals = itertools.chain((gen for _, gen in seeded),
-                                (_integral(cfg, head[:n], tail_err=t) for n, t in windows[k:]))
-    return results, where, integrals
-
-
 def cdf_many(xs, spec: "Spectrum", cfg: QuadratureConfig | None = None,
              method: Method | None = None) -> list[CdfEvaluation]:
     """CDF of sum_k sigma_k^2 (Z_k + zeta_k)^2 at each x of ``xs``, in order.
@@ -603,9 +555,10 @@ def cdf_many(xs, spec: "Spectrum", cfg: QuadratureConfig | None = None,
     panel values; the points share only integrand calls, which is what
     makes a grid cheap.  Batching can change a point's integrand values
     by rounding (the group sums are matrix-vector products), not more.
-    What depends on the spectrum alone comes from ``spec.plan``.  On the
-    shifted contour, the first rounds read the head's node table and
-    settle every point that meets tolerance there (``_first_rounds``).
+    What depends on the spectrum alone comes from ``spec.plan``.  The
+    points go to ``_integrate`` _IN_FLIGHT at a time, each batch with its
+    windows; on the shifted contour, the batch's first round reads the
+    head's node table, and a point that meets tolerance there is settled.
     """
     cfg = cfg or DEFAULT_CONFIG
     xs = [float(x) for x in xs]
@@ -616,7 +569,7 @@ def cdf_many(xs, spec: "Spectrum", cfg: QuadratureConfig | None = None,
     method = plan.method if method is None else Method(method)
     shifted = method is Method.SHIFTED_CONTOUR
     kernel = _shifted_values if shifted else _imhof_values
-    positive = np.array([x for x in xs if x > 0.0])
+    positive = [x for x in xs if x > 0.0]
     step, args, ell = plan.step, plan.kernel_args, spec.ell if shifted else None
 
     def evaluate(xr, half, table, rows=None):
@@ -630,35 +583,38 @@ def cdf_many(xs, spec: "Spectrum", cfg: QuadratureConfig | None = None,
                                       xr if xr.size == 1 else xr[k:k + step], *args))
         return parts[0] if len(parts) == 1 else [np.concatenate(p) for p in zip(*parts)]
 
-    if shifted:
-        results, where, integrals = _first_rounds(cfg, plan, positive, evaluate)
-    else:
-        results, where = [None] * positive.size, range(positive.size)
-        heads, halves = _imhof_windows(positive, *spec.groups)
-        # one head panel per 2 pi: the phase runs at about unit speed
-        integrals = (_integral(cfg, _panels(y, math.ceil(y / (2.0 * math.pi))), h)
-                     for y, h in zip(heads, halves))
-    if where:
-        x_of = positive[where]
-        done = _drive(integrals, lambda edges, owners: evaluate(
-            x_of[owners], *_node_table(edges, ell)))
-        for i, res in zip(where, done):
-            results[i] = res
+    results: list = []
+    for k in range(0, len(positive), _IN_FLIGHT):
+        part = positive[k:k + _IN_FLIGHT]
+        chunk = np.array(part)
+        if shifted:
+            head, _, (half, table) = plan.head(cfg.abs_tol)
+            sizes, tail_err = zip(*[plan.window(x, cfg.abs_tol) for x in part])
+            heads, periods = [head[:n] for n in sizes], None
+            # the first round reads the node table: a slice for a lone point,
+            # a gather for a batch
+            if len(sizes) == 1:
+                first = evaluate(chunk, half[:sizes[0]], table[:, :sizes[0]])
+            else:
+                rows = np.arange(sum(sizes)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+                first = evaluate(np.repeat(chunk, sizes), half, table, rows)
+        else:
+            ends, periods = _imhof_windows(chunk, *spec.groups)
+            # one head panel per 2 pi: the phase runs at about unit speed
+            heads = [_panels(y, math.ceil(y / (2.0 * math.pi))) for y in ends]
+            tail_err, first = [0.0] * len(ends), None
+        results += _integrate(cfg, heads, tail_err, lambda edges, owners: evaluate(
+            chunk[owners], *_node_table(edges, ell)), periods, first)
     results = iter(results)
     out = []
     for x in xs:
         if x <= 0.0:
             out.append(CdfEvaluation(0.0, 0.0, 0, method, density=0.0))
             continue
-        res = next(results)
-        value = res.value if shifted else 0.5 - res.value
-        out.append(CdfEvaluation(
-            value=min(1.0, max(0.0, value)),
-            abs_error_estimate=res.error_estimate,
-            nodes_used=res.nodes_used,
-            method=method,
-            converged=res.converged, density=res.density / (math.pi * x),
-        ))
+        value, err, nodes, converged, density, bisections = next(results)
+        value = value if shifted else 0.5 - value
+        out.append(CdfEvaluation(min(1.0, max(0.0, value)), err, nodes, method, converged,
+                                 density / (math.pi * x), bisections))
     return out
 
 

@@ -113,8 +113,8 @@ class TestAdaptiveIntegrate:
                                      upper=1000.0)
         assert not res.converged
         # which three panels were bisected shows in the value and estimate
-        assert (res.value, res.error_estimate, res.nodes_used) == (
-            0.5375161782920921, 0.13092952471445618, 210)
+        assert (res.value, res.error_estimate, res.nodes_used, res.bisections) == (
+            0.5375161782920921, 0.13092952471445618, 210, 3)
 
     @pytest.mark.parametrize("f, upper, value, estimate, nodes", [
         (lambda y: 1.0 / np.sqrt(y), 4.0, 3.9999999995160955, 7.519396778078242e-10, 2268),
@@ -150,6 +150,29 @@ class TestAdaptiveIntegrate:
         assert ev.converged and shifted.converged
         assert (abs(ev.value - shifted.value)
                 <= ev.abs_error_estimate + shifted.abs_error_estimate)
+
+    def test_unresolved_tail_pinned(self, monkeypatch):
+        # with the tail capped at 8 half-periods, the second slow spectrum's
+        # tail ends unresolved, and its head is then bisected to the budget:
+        # no bisection half may join the tail; repr-exact results pin that
+        monkeypatch.setattr(quadform, "_TAIL_PANELS", 8)
+        spec = Spectrum([0.706899, 0.0221398, 0.0140064, 0.0140064, 0.000142311, 0.000120276],
+                        [0.00312133, 0.0481683, 0.138424, 0.0, -1.95659, 11.373])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            evs = cdf_many([0.5, 0.05, 2.0], spec, QuadratureConfig(1e-13))
+        assert [(ev.value, ev.abs_error_estimate, ev.nodes_used, ev.converged, ev.bisections)
+                for ev in evs] == [
+            (0.6823982428485996, 9.468548214165652e-08, 8610, False, 200),
+            (0.24608517648520062, 1.5386336140318906e-08, 8610, False, 200),
+            (0.954514096294923, 2.405320927450181e-07, 8610, False, 200)]
+        assert all(ev.method is Method.IMHOF for ev in evs)
+        assert [str(w.message) for w in caught] == [
+            f"adaptive quadrature oscillatory tail unresolved ({tail})" for tail in (
+                "error estimate 9.469e-08, upper limit 37.6677",
+                "error estimate 1.539e-08, upper limit 38.0252",
+                "error estimate 2.405e-07, upper limit 37.7527")]
+        assert all(w.category is RuntimeWarning and w.filename == __file__ for w in caught)
 
     def test_nan_integrand_raises(self):
         def bad(y):
@@ -552,6 +575,24 @@ class TestCdfMany:
         with pytest.raises(ValueError):
             cdf_many([1.0, math.nan], spec61)
 
+    def test_imhof_windows_chosen_per_batch(self, monkeypatch):
+        # the real-axis windows are chosen _IN_FLIGHT points at a time, so
+        # their (points x groups) temporaries do not grow with the grid
+        _, model, pert = builtin_examples()[3]
+        alt = compute_spectrum(model, pert)
+        xs = (default_grid()[::30] * (alt.mean() / 2.5)).tolist()
+        sizes, real = [], quadform._imhof_windows
+
+        def recording(xs, *args):
+            sizes.append(xs.size)
+            return real(xs, *args)
+
+        monkeypatch.setattr(quadform, "_imhof_windows", recording)
+        evs = cdf_many(xs, alt)
+        assert all(ev.method is Method.IMHOF and ev.converged for ev in evs)
+        assert sum(sizes) == len(xs) > 2 * quadform._IN_FLIGHT
+        assert max(sizes) <= quadform._IN_FLIGHT
+
 
 @pytest.mark.parametrize("case", range(4))
 def test_shifted_point_closes_in_its_head_round(case, monkeypatch):
@@ -624,33 +665,39 @@ def test_node_table_matches_the_heads_edges(abs_tol):
 
 def integrals_on_edges(spec, xs, cfg):
     """The shifted route as it ran before the node table: every point's
-    ``_integral`` driven from its first round, on nodes and kernel factors
-    built from the panels' edges in each ``plan.step`` chunk, an x a row."""
-    plan, x = spec.plan, np.array(xs)
+    integral run by ``_integrate`` from its first round, on nodes and
+    kernel factors built from the panels' edges in each ``plan.step``
+    chunk, an x a row, _IN_FLIGHT points at a time as ``cdf_many`` runs
+    them."""
+    plan = spec.plan
     head, _, _ = plan.head(cfg.abs_tol)
+    results = []
+    for k in range(0, len(xs), quadform._IN_FLIGHT):
+        x = np.array(xs[k:k + quadform._IN_FLIGHT])
 
-    def evaluate(edges, owners):
-        parts = []
-        for k in range(0, len(edges), plan.step):
-            e = edges[k:k + plan.step]
-            half = 0.5 * (e[:, 1] - e[:, 0])
-            ys = 0.5 * (e[:, 0] + e[:, 1])[:, None] + half[:, None] * quadform._NODES
-            parts.append(quadform._eval_panels(_shifted_values, half, ys[None],
-                                               x[owners[k:k + plan.step]], *plan.kernel_args))
-        return tuple(np.concatenate(p) for p in zip(*parts))
+        def evaluate(edges, owners):
+            parts = []
+            for j in range(0, len(edges), plan.step):
+                e = edges[j:j + plan.step]
+                half = 0.5 * (e[:, 1] - e[:, 0])
+                ys = 0.5 * (e[:, 0] + e[:, 1])[:, None] + half[:, None] * quadform._NODES
+                parts.append(quadform._eval_panels(_shifted_values, half, ys[None],
+                                                   x[owners[j:j + plan.step]], *plan.kernel_args))
+            return tuple(np.concatenate(p) for p in zip(*parts))
 
-    windows = [plan.window(v, cfg.abs_tol) for v in xs]
-    return quadform._drive([quadform._integral(cfg, head[:n], tail_err=t) for n, t in windows],
-                           evaluate)
+        windows = [plan.window(v, cfg.abs_tol) for v in x.tolist()]
+        results += quadform._integrate(cfg, [head[:n] for n, _ in windows],
+                                       [t for _, t in windows], evaluate)
+    return results
 
 
 @pytest.mark.parametrize("abs_tol", [1e-9, 1e-12])
 @pytest.mark.parametrize("case", range(3))
 def test_first_rounds_equal_integrals_on_edges(case, abs_tol):
-    # a point settled on the table's rows returns, field by field, what
-    # _integral returns on the same panels built from their edges, and so
-    # does a point left open, seeded with its first round; 189 points span
-    # two batches, and at 1e-12 some first rounds leave points open
+    # a point whose first round reads the table's rows returns, field by
+    # field, what the same integral returns on panels built from their
+    # edges, whether it settles there or bisects on; 189 points span two
+    # batches, and at 1e-12 some first rounds leave points open
     _, model, pert = builtin_examples()[case]
     alt = compute_spectrum(model, pert)
     cfg = QuadratureConfig(abs_tol)
@@ -662,13 +709,30 @@ def test_first_rounds_equal_integrals_on_edges(case, abs_tol):
         for x in xs[::40]:
             pairs.append((cdf(x, spec, cfg, Method.SHIFTED_CONTOUR),
                           integrals_on_edges(spec, [x], cfg)[0], x))
-        for ev, res, x in pairs:
-            assert (ev.value, ev.abs_error_estimate, ev.nodes_used, ev.converged, ev.density) == (
-                min(1.0, max(0.0, res.value)), res.error_estimate, res.nodes_used,
-                res.converged, res.density / (math.pi * x))
+        for ev, (value, err, nodes, converged, density, bisections), x in pairs:
+            assert (ev.value, ev.abs_error_estimate, ev.nodes_used, ev.converged, ev.density,
+                    ev.bisections) == (min(1.0, max(0.0, value)), err, nodes, converged,
+                                       density / (math.pi * x), bisections)
         if abs_tol == 1e-9:
-            assert all(res.nodes_used == quadform.PANEL_SIZE * n
+            assert all(res[2] == quadform.PANEL_SIZE * n
                        for res, (n, _) in zip(want, map(lambda v: spec.plan.window(v, abs_tol), xs)))
+
+
+@pytest.mark.parametrize("abs_tol, bisecting", [(1e-9, 0), (1e-12, 169)])
+def test_bisections_counted(abs_tol, bisecting):
+    # on the shifted route over the four examples' null and alternative
+    # grids, a point spends 21 nodes per window panel and 42 per bisection
+    cfg, counts = QuadratureConfig(abs_tol), []
+    for _, model, pert in builtin_examples():
+        alt = compute_spectrum(model, pert)
+        for spec in (alt.null(), alt):
+            xs = (default_grid()[::10] * (spec.mean() / 2.5)).tolist()
+            for x, ev in zip(xs, cdf_many(xs, spec, cfg, Method.SHIFTED_CONTOUR)):
+                n, _ = spec.plan.window(x, abs_tol)
+                assert ev.nodes_used == quadform.PANEL_SIZE * (n + 2 * ev.bisections)
+                counts.append(ev.bisections)
+    assert len(counts) == 8000
+    assert sum(b > 0 for b in counts) == bisecting
 
 
 @pytest.mark.parametrize("cs", [[1.0], [0.5, 1.0, 2.0]], ids=["lone", "batch"])
