@@ -26,7 +26,9 @@ a point's first round reads its rows from there.  One round loop,
 ``_integrate``, runs the integrals of both forms, and of
 ``adaptive_integrate``: each round, every open integral asks for its next
 tail panels or the halves of its worst head panel, and one integrand call
-evaluates them all.
+evaluates them all, in kernel calls of at most 8,192 node x group elements
+for a batch; a lone point's round takes one call of up to 32,768, whose
+temporaries live in a scratch kept per thread.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ import enum
 import functools
 import math
 import sys
+import threading
 import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, ClassVar
@@ -51,9 +54,13 @@ __all__ = [
 ]
 
 # work in flight in cdf_many: integrals advanced together, and node x group
-# elements per integrand call.  Larger batches save no time, only memory.
+# elements per kernel call, _MAX_ELEMENTS in a batch.  Each call costs a
+# fixed overhead, so a lone point's round takes one call of up to
+# _POINT_ELEMENTS, or equal calls past that, in the thread's scratch.
 _IN_FLIGHT = 128
 _MAX_ELEMENTS = 8192
+_POINT_ELEMENTS = 32768
+_scratch = threading.local()
 # bisections an integral may spend after its first round
 _MAX_BISECTIONS = 200
 # real-axis tail: half-periods per round, and in all
@@ -181,6 +188,19 @@ def _y_factors(y, ell):
                      math.pi * (d_re * d_re + d_im * d_im)])
 
 
+def _temps(shape: tuple, count: int) -> list:
+    """``count`` arrays of ``shape`` for a kernel call of over _MAX_ELEMENTS
+    elements: views of this thread's scratch, which grows to at most count x
+    _POINT_ELEMENTS and is never shrunk (fresh arrays that large page-fault
+    on every call), or fresh arrays past that size."""
+    size = math.prod(shape)
+    if size > _POINT_ELEMENTS:
+        return list(np.empty((count, *shape)))
+    if getattr(_scratch, "buf", np.empty(0)).size < count * size:
+        _scratch.buf = np.empty(count * size)
+    return list(_scratch.buf[:count * size].reshape(count, *shape))
+
+
 def _shifted_values(y, x, s2, cnt4, cnt2, z2h, ell, factors=None):
     """Shifted-contour integrands of F and, times pi x, of its density (ds for
     ds/s; Daniels 1954, Ann. Math. Statist. 25:631), a row per CDF argument x
@@ -195,22 +215,30 @@ def _shifted_values(y, x, s2, cnt4, cnt2, z2h, ell, factors=None):
     rt = math.sqrt(ell)
     y2m, y2rt, one_y, y_rt, d_re, pi_d2 = _y_factors(y, ell) if factors is None else factors
     a = (s2 / x[:, None])[:, None, :]
-    re = (1.0 - y2m[:, :, None] * a).reshape(-1, g)
-    im = (y2rt[:, :, None] * a).reshape(-1, g)
-    r2 = re * re + im * im
-    log_mod = np.log(r2) @ cnt4  # sum_k cnt_k/2 log|w_k|
+    # the (node, group) arrays, worked in place: fresh, or the scratch's
+    re = im = r2 = tmp = None
+    if y.size * g > _MAX_ELEMENTS:
+        re, im, r2, tmp = _temps((*shape, g), 4)
+        r2, tmp = r2.reshape(-1, g), tmp.reshape(-1, g)
+    re = np.subtract(1.0, np.multiply(y2m[:, :, None], a, out=re), out=re).reshape(-1, g)
+    im = np.multiply(y2rt[:, :, None], a, out=im).reshape(-1, g)
+    r2 = np.multiply(re, re, out=r2)
+    tmp = np.multiply(im, im, out=tmp)
+    r2 += tmp
+    log_mod = np.log(r2, out=tmp) @ cnt4  # sum_k cnt_k/2 log|w_k|
+    expo_re = one_y.ravel() - log_mod
+    expo_im = y_rt.ravel() - np.arctan2(im, re, out=tmp) @ cnt2
+    if z2h is not None:
+        inv = np.divide(1.0, r2, out=tmp)
+        expo_im -= np.multiply(im, inv, out=im) @ z2h
+        expo_re += np.subtract(np.multiply(re, inv, out=inv), 1.0, out=inv) @ z2h
     if __debug__:
         # denominator bound: |prod sqrt(w_k)| > e^{-1/4}
         assert (log_mod > -0.25 - 1e-9).all()
         # per-factor bound: |(1 - w)/w|^2 <= (1 + 1/ell)(1 + 1e-9)^2, with
         # |1 - w|^2 = 1 - 2 Re w + |w|^2
-        assert (1.0 - 2.0 * re <= ((1.0 + 1.0 / ell) * (1.0 + 1e-9) ** 2 - 1.0) * r2).all()
-    expo_re = one_y.ravel() - log_mod
-    expo_im = y_rt.ravel() - np.arctan2(im, re) @ cnt2
-    if z2h is not None:
-        inv = 1.0 / r2
-        expo_re += (re * inv - 1.0) @ z2h
-        expo_im -= (im * inv) @ z2h
+        assert (np.subtract(1.0, np.multiply(2.0, re, out=im), out=im) <= np.multiply(
+            (1.0 + 1.0 / ell) * (1.0 + 1e-9) ** 2 - 1.0, r2, out=tmp)).all()
     # Im(e^expo / (pi d)) with d = y - 1/(1 - i rt) = d_re - i d_im
     d_im = rt / (1.0 + ell)
     amp, sin, cos = np.exp(expo_re), np.sin(expo_im), np.cos(expo_im)
@@ -225,20 +253,25 @@ def _imhof_values(y, x, s2, cnt4, cnt2, z2h, ell):
     With v = 1 - i t and t = 2 y sigma^2 / x, log v = log1p(t^2)/2 - i arctan t
     factor by factor and 1/v = (1 + i t) / (1 + t^2).
     """
-    shape = y.shape
-    t = ((2.0 * y)[:, :, None] * (s2 / x[:, None])[:, None, :]).reshape(-1, s2.size)
+    shape, g = y.shape, s2.size
+    # the (node, group) arrays, worked in place: fresh, or the scratch's
+    t = t2 = tmp = None
+    if y.size * g > _MAX_ELEMENTS:
+        t, t2, tmp = _temps((*shape, g), 3)
+        t2, tmp = t2.reshape(-1, g), tmp.reshape(-1, g)
+    t = np.multiply((2.0 * y)[:, :, None], (s2 / x[:, None])[:, None, :], out=t).reshape(-1, g)
     y = y.ravel()
-    t2 = t * t
-    expo_re = -(np.log1p(t2) @ cnt4)
-    expo_im = np.arctan(t) @ cnt2 - y
+    t2 = np.multiply(t, t, out=t2)
+    expo_re = -(np.log1p(t2, out=tmp) @ cnt4)
+    expo_im = np.arctan(t, out=tmp) @ cnt2 - y
     if z2h is not None:
-        q = 1.0 / (1.0 + t2)
-        term_re = -t2 * q
+        q = np.divide(1.0, np.add(1.0, t2, out=tmp), out=tmp)
+        term_re = np.multiply(np.negative(t2, out=t2), q, out=t2)
+        expo_im += np.multiply(t, q, out=t) @ z2h
         if __debug__:
             # numerator factors bounded by 1: Re((1-v)/(2v)) <= 0
-            assert (term_re * z2h <= 1e-12).all()
+            assert (np.multiply(term_re, z2h, out=t) <= 1e-12).all()
         expo_re += term_re @ z2h
-        expo_im += (t * q) @ z2h
     return (np.exp(expo_re) * np.sin(expo_im) / (math.pi * y)).reshape(shape)
 
 
@@ -424,24 +457,25 @@ def _imhof_windows(xs, s2, cnt, z2, ell: int):
     The phase slope tends to -1 only once every group has t >> 1, which a
     tiny sigma^2 puts far out; so Y is the first doubling of 10 + sqrt(ell)
     past which the exact slope moves by under 5% over one more doubling
-    (at most 10 doublings), and the half-period is pi / |slope(Y)|.
+    (at most 10 doublings), and the half-period is pi / |slope(Y)|.  The
+    slopes at all eleven doublings come from one (x, 11, group) pass.
     """
-    def slope(y):
-        a = s2 / xs[:, None]
-        t = 2.0 * y[:, None] * a
-        q = 1.0 / (1.0 + t * t)
-        return (a * q * (cnt + z2 * (1.0 - t * t) * q)).sum(axis=1) - 1.0
-
-    y = np.full(xs.size, 10.0 + math.sqrt(ell))
-    now = slope(y)
-    for _ in range(10):
-        ahead = slope(2.0 * y)
-        moving = np.abs(ahead - now) >= 0.05 * np.abs(now)
-        if not moving.any():
-            break
-        y = np.where(moving, 2.0 * y, y)
-        now = np.where(moving, ahead, now)
-    return y.tolist(), (math.pi / np.abs(now)).tolist()
+    a = (s2 / xs[:, None])[:, None, :]
+    y = (10.0 + math.sqrt(ell)) * 2.0 ** np.arange(11)
+    # a q (cnt + z2 (1 - t^2) q) with t = 2 y a and q = 1/(1 + t^2), in place
+    t2 = np.square((2.0 * y)[:, None] * a)
+    q = np.add(1.0, t2)
+    q = np.divide(1.0, q, out=q)
+    np.subtract(1.0, t2, out=t2)
+    t2 *= z2
+    t2 *= q
+    t2 += cnt
+    q *= a
+    q *= t2
+    slope = q.sum(axis=2) - 1.0
+    moving = np.abs(slope[:, 1:] - slope[:, :-1]) >= 0.05 * np.abs(slope[:, :-1])
+    first = np.argmin(np.column_stack([moving, np.zeros(xs.size, bool)]), axis=1)
+    return y[first].tolist(), (math.pi / np.abs(slope[np.arange(xs.size), first])).tolist()
 
 
 def _tail_bound(s2, cnt, z2, ell: int) -> Callable:
@@ -488,7 +522,7 @@ class Plan:
     * ``method``, the route taken by default;
     * ``kernel_args``, the kernels' group constants: sigma^2, cnt/4, cnt/2,
       zeta^2/2 per group (None when every zeta is 0), and ell;
-    * ``step``, the panels one kernel call evaluates;
+    * ``step``, the panels one kernel call of a batch evaluates;
     * ``log_tail``, the shifted contour's tail bound (``_tail_bound``), and
       ``head(abs_tol)``, its head panels, their ends and their node table,
       each built on the shifted route's first use; ``window(x, abs_tol)``
@@ -570,17 +604,22 @@ def cdf_many(xs, spec: "Spectrum", cfg: QuadratureConfig | None = None,
     shifted = method is Method.SHIFTED_CONTOUR
     kernel = _shifted_values if shifted else _imhof_values
     positive = [x for x in xs if x > 0.0]
-    step, args, ell = plan.step, plan.kernel_args, spec.ell if shifted else None
+    args, ell = plan.kernel_args, spec.ell if shifted else None
+    # a lone point's round in one kernel call, or equal calls if it is large
+    most = max(1, _POINT_ELEMENTS // (PANEL_SIZE * args[0].size))
 
     def evaluate(xr, half, table, rows=None):
         # the panels half[rows], table[:, rows] (all of them, in order, when
-        # rows is None), plan.step a kernel call; the j-th at x xr[j], or
-        # every one at xr's lone x
+        # rows is None), plan.step a kernel call in a batch; the j-th at x
+        # xr[j], or every one at xr's lone x
         parts, total = [], half.size if rows is None else rows.size
-        for k in range(0, total, step):
-            pick = slice(k, k + step) if rows is None else rows[k:k + step]
+        calls = -(-total // most)
+        cuts = ([*range(0, total, plan.step), total] if len(positive) > 1
+                else [total * k // calls for k in range(calls + 1)])
+        for lo, hi in zip(cuts, cuts[1:]):
+            pick = slice(lo, hi) if rows is None else rows[lo:hi]
             parts.append(_eval_panels(kernel, half[pick], table[:, pick],
-                                      xr if xr.size == 1 else xr[k:k + step], *args))
+                                      xr if xr.size == 1 else xr[lo:hi], *args))
         return parts[0] if len(parts) == 1 else [np.concatenate(p) for p in zip(*parts)]
 
     results: list = []

@@ -7,7 +7,11 @@ quadrature path).
 
 import functools
 import math
+import subprocess
+import sys
+import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -898,3 +902,215 @@ def test_imhof_tail_estimate_holds(name):
     assert ev.method is Method.IMHOF
     assert ev.converged
     assert abs(ev.value - ref["cdf"]) <= ev.abs_error_estimate
+
+
+def imhof_windows_loop(xs, s2, cnt, z2, ell):
+    """``_imhof_windows`` as it was written before its one-pass form: up to
+    ten doublings, each a (points, groups) pass."""
+    def slope(y):
+        a = s2 / xs[:, None]
+        t = 2.0 * y[:, None] * a
+        q = 1.0 / (1.0 + t * t)
+        return (a * q * (cnt + z2 * (1.0 - t * t) * q)).sum(axis=1) - 1.0
+
+    y = np.full(xs.size, 10.0 + math.sqrt(ell))
+    now = slope(y)
+    for _ in range(10):
+        ahead = slope(2.0 * y)
+        moving = np.abs(ahead - now) >= 0.05 * np.abs(now)
+        if not moving.any():
+            break
+        y = np.where(moving, 2.0 * y, y)
+        now = np.where(moving, ahead, now)
+    return y.tolist(), (math.pi / np.abs(now)).tolist()
+
+
+def test_imhof_windows_match_the_doubling_loop():
+    # on seeded spectra with tied sigma^2, spreads of sigma^2 up to 1e10 and
+    # zeta = 0 on a third of them, at tied and spread x, the one-pass
+    # windows equal the loop's bit for bit
+    rng = np.random.default_rng(3303)
+    doublings = set()
+    for k in range(600):
+        ell = int(rng.integers(1, 90))
+        sigma2 = 10.0 ** -rng.uniform(0.0, rng.uniform(0.0, 10.0), ell)
+        sigma2 = sigma2[rng.integers(0, ell, ell)] if k % 2 else sigma2   # ties
+        zeta = rng.uniform(-2.0, 2.0, ell) * (k % 3 != 0)
+        groups = Spectrum(np.sqrt(sigma2), zeta).groups
+        xs = 10.0 ** rng.uniform(-3.0, 2.0, int(rng.integers(1, 9))) * sigma2.sum()
+        xs = np.concatenate([xs, xs[:2]])
+        got = quadform._imhof_windows(xs, *groups)
+        assert got == imhof_windows_loop(xs, *groups), k
+        base = 10.0 + math.sqrt(groups[3])
+        doublings.update(round(math.log2(y / base)) for y in got[0])
+    assert {0, 1, 2, 3, 4} <= doublings
+
+
+def point_spectrum(g, seed=4040):
+    """g groups of sigma^2 spread over two decades, with sum zeta^2 = 6: the
+    shifted route by default."""
+    rng = np.random.default_rng(seed + g)
+    zeta = rng.standard_normal(g)
+    zeta *= math.sqrt(6.0 / (zeta @ zeta))
+    return Spectrum(np.sqrt(np.geomspace(1.0, 1e-2, g)), zeta)
+
+
+def record_kernel_calls(monkeypatch, spec, abs_tol):
+    """Monkeypatch both kernels and ``_node_table`` to record, in order,
+    ``("call", panels)`` for each kernel call and ``("round",)`` for each
+    node table built from edges: every round's but the shifted first's."""
+    spec.plan.head(abs_tol)
+    events = []
+    for name in ("_shifted_values", "_imhof_values"):
+        def counting(y, *args, _real=getattr(quadform, name), **kwargs):
+            events.append(("call", y.shape[0]))
+            return _real(y, *args, **kwargs)
+        monkeypatch.setattr(quadform, name, counting)
+    real_table = quadform._node_table
+
+    def table(*args):
+        events.append(("round",))
+        return real_table(*args)
+
+    monkeypatch.setattr(quadform, "_node_table", table)
+    return events
+
+
+def rounds_of(events, method):
+    """The panels of each kernel call, grouped by round."""
+    rounds = [[]] if method is Method.SHIFTED_CONTOUR else []
+    for event in events:
+        if event[0] == "round":
+            rounds.append([])
+        else:
+            rounds[-1].append(event[1])
+    return rounds
+
+
+@pytest.mark.parametrize("method", list(Method))
+@pytest.mark.parametrize("g", [40, 70, 400])
+def test_point_query_call_shape(g, method, monkeypatch):
+    # a lone point evaluates each round in one kernel call of at most
+    # _POINT_ELEMENTS node x group elements, or, past that, in near-equal
+    # calls of at most that; a batch keeps calls of plan.step panels
+    spec = point_spectrum(g)
+    cfg = QuadratureConfig(1e-12)
+    events = record_kernel_calls(monkeypatch, spec, cfg.abs_tol)
+    most = max(1, quadform._POINT_ELEMENTS // (quadform.PANEL_SIZE * g))
+    above = False
+    for c in (0.5, 1.0, 2.0):
+        events.clear()
+        ev = cdf(c * spec.mean(), spec, cfg, method)
+        rounds = rounds_of(events, method)
+        assert ev.method is method and ev.converged
+        assert len(rounds) >= 1 + ev.bisections
+        for calls in rounds:
+            assert max(calls) <= most
+            assert len(calls) == -(-sum(calls) // most)
+            assert max(calls) - min(calls) <= 1
+        above |= max(map(sum, rounds)) * quadform.PANEL_SIZE * g > quadform._MAX_ELEMENTS
+    assert above
+    events.clear()
+    step = spec.plan.step
+    cdf_many([c * spec.mean() for c in (0.5, 1.0, 2.0)], spec, cfg, method)
+    for calls in rounds_of(events, method):
+        whole, rest = divmod(sum(calls), step)
+        assert calls == [step] * whole + ([rest] if rest else [])
+
+
+@pytest.mark.parametrize("g", [70, 400, 1600])
+def test_scratch_gives_the_bits_of_fresh_arrays(g, monkeypatch):
+    # a kernel call of over _MAX_ELEMENTS node x group elements works in
+    # the thread's scratch, and past _POINT_ELEMENTS (one panel at g = 1600)
+    # in fresh arrays; either way it returns the bits of the same call on
+    # fresh arrays, and the scratch never holds over 4 _POINT_ELEMENTS
+    spec = point_spectrum(g)
+    _, _, (half, table) = spec.plan.head(DEFAULT_CONFIG.abs_tol)
+    n = max(1, quadform._POINT_ELEMENTS // (quadform.PANEL_SIZE * g))
+    assert n * quadform.PANEL_SIZE * g > quadform._MAX_ELEMENTS
+
+    def calls():
+        return [quadform._eval_panels(kernel, half[:n], rows[:, :n], np.array([spec.mean()]),
+                                      *spec.plan.kernel_args)
+                for kernel, rows in ((_shifted_values, table), (_imhof_values, table[:1]))]
+
+    got = calls()
+    assert quadform._scratch.buf.size <= 4 * quadform._POINT_ELEMENTS
+    monkeypatch.setattr(quadform, "_MAX_ELEMENTS", 10 ** 9)
+    want = calls()
+    assert [[a.tobytes() for a in out] for out in got] == [
+        [a.tobytes() for a in out] for out in want]
+
+
+def run_threads(jobs, count):
+    """Run ``jobs`` (callables) on ``count`` threads, job i on thread i % count,
+    under a short switch interval; returns each job's result."""
+    results, errors = [None] * len(jobs), []
+
+    def worker(k):
+        try:
+            for i in range(k, len(jobs), count):
+                results[i] = jobs[i]()
+        except Exception as exc:   # reported by the test, not lost in the thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(count)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120.0)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+    return results
+
+
+@pytest.mark.parametrize("count", [2, 4])
+def test_scratch_is_per_thread(count):
+    # threads answering lone points whose kernel calls take their own
+    # thread's scratch, on both routes and on different spectra at once,
+    # return bit for bit what one thread returns
+    cfg = QuadratureConfig(1e-12)
+    cases = [(point_spectrum(g, seed), method) for g, seed, method in (
+        (40, 1, Method.SHIFTED_CONTOUR), (70, 2, Method.IMHOF),
+        (64, 3, Method.IMHOF), (55, 4, Method.SHIFTED_CONTOUR))]
+
+    def job(spec, method):
+        evs = [repr(cdf(c * spec.mean(), spec, cfg, method))
+               for _ in range(3) for c in (0.5, 1.0, 2.0, 4.0)]
+        return evs, getattr(quadform._scratch, "buf", None) is not None
+
+    serial = [job(*case)[0] for case in cases]
+    got = run_threads([functools.partial(job, *case) for case in cases] * 2, count)
+    assert [evs for evs, _ in got] == serial * 2
+    assert all(used for _, used in got)
+
+
+POINTS_SCRIPT = """
+import numpy as np
+from gofpower.quadform import Method, cdf_many
+from gofpower.spectrum import Spectrum
+zeta = np.linspace(-1.0, 1.0, 70) * 0.5
+spec = Spectrum(np.sqrt(np.geomspace(1.0, 1e-2, 70)), zeta)
+print(__debug__)
+for method in Method:
+    for xs in ([spec.mean()], [0.5 * spec.mean(), spec.mean(), 2.0 * spec.mean()]):
+        print([repr(ev) for ev in cdf_many(xs, spec, method=method)])
+"""
+
+
+def test_values_do_not_rest_on_asserts():
+    # under python -O the kernels' asserts are gone; a lone point whose
+    # calls take the scratch, and a batch, on both routes, return what they
+    # return with the asserts, so no value is computed inside one
+    env = {"PYTHONPATH": str(Path(quadform.__file__).resolve().parents[1]), "PATH": ""}
+    runs = [subprocess.run([sys.executable, *flags, "-c", POINTS_SCRIPT], env=env,
+                           capture_output=True, text=True, timeout=120, check=True).stdout
+            for flags in ([], ["-O"])]
+    debug, optimized = (run.splitlines() for run in runs)
+    assert (debug[0], optimized[0]) == ("True", "False")
+    assert len(debug) == 5 and debug[1:] == optimized[1:]
