@@ -211,6 +211,7 @@ def cmd_examples(args) -> int:
     cfg = QuadratureConfig(args.abs_tol)
     grid = default_grid(args.grid_step, args.grid_max)
     examples = builtin_examples()
+    null_sims = {}   # examples of one model share its null simulation
     paths = [out_dir / f"{name}{suffix}" for name, _, _ in examples
              for suffix in ("_curve.csv", "_mc.csv", ".svg")]
     with _outputs(out_dir / "costs.csv", *paths) as (costs, *files):
@@ -220,8 +221,10 @@ def cmd_examples(args) -> int:
             curve = power_curve(model, pert, grid, cfg)
             curve.write_csv(curve_fh)
 
-            sim_null = simulate_statistics(
-                model, zero_perturbation(model.m), args.n, args.trials, args.seed)
+            if model not in null_sims:
+                null_sims[model] = simulate_statistics(
+                    model, zero_perturbation(model.m), args.n, args.trials, args.seed)
+            sim_null = null_sims[model]
             sim_alt = simulate_statistics(model, pert, args.n, args.trials, args.seed + 1)
             points = empirical_power(sim_null, sim_alt, _MC_ALPHA_GRID)
             mc_fh.write("alpha,power,std_error\n")

@@ -7,7 +7,7 @@ u = sqrt(x), summed from its coefficients, whose degree doubles until it
 predicts its own new nodes, with an error bound.  Only the point query
 ``asymptotic_power`` solves for a critical value: by Newton's method on
 the log of F0's smaller tail, with F0's density, from a two-cumulant
-scaled chi-square quantile.
+scaled chi-square quantile, then by cubic Hermite steps.
 """
 
 from __future__ import annotations
@@ -154,6 +154,11 @@ def _cdf_on_grid(xs: np.ndarray, spec: Spectrum, cfg: QuadratureConfig):
             max(e.abs_error_estimate for e in on_grid))
 
 
+# the last null family: (p0, grid values, abs_tol, (F0 on the grid, read-only,
+# its worst node count, unconverged points, error bound, CDF evaluations))
+_recent_null: tuple = (None, None, None, None)
+
+
 def power_curve(model: ProbabilityModel, pert: Perturbation,
                 grid: np.ndarray | None = None,
                 cfg: QuadratureConfig | None = None) -> PowerCurve:
@@ -168,25 +173,39 @@ def power_curve(model: ProbabilityModel, pert: Perturbation,
     family is evaluated at every grid point with ``cdf_many`` instead.
     Per-point quadrature warnings are collected in the meta block, not
     raised.
+
+    The null family depends on p0 alone, so the last one is kept, keyed on
+    the p0 array, which a model holds read-only, on the grid's values and
+    on ``abs_tol``: alternatives to one model compute it once, and only
+    ``meta.seconds_per_point`` tells a kept family from a fresh one, since
+    it then times the alternative alone.  The entry holds F0 and the grid
+    (two copies of the grid's size) and the counts ``meta`` reads.
     """
+    global _recent_null
     cfg = cfg or DEFAULT_CONFIG
     xs = default_grid() if grid is None else np.asarray(grid, dtype=float)
     if xs.ndim != 1 or xs.size == 0 or np.any(xs <= 0) or np.any(np.diff(xs) <= 0):
         raise ValueError("grid must be strictly increasing and positive")
     alt_spec = compute_spectrum(model, pert)
-    null_spec = alt_spec.null()
 
     t0 = time.perf_counter()
     with warnings.catch_warnings():
         # unconverged points are counted in the meta block, not raised per point
         warnings.filterwarnings("ignore", message="adaptive quadrature")
-        f0, e0, bound0 = _cdf_on_grid(xs, null_spec, cfg)
+        p0, grid0, tol, null = _recent_null
+        if not (p0 is model.probs and tol == cfg.abs_tol and np.array_equal(grid0, xs)):
+            f0, e0, bound0 = _cdf_on_grid(xs, alt_spec.null(), cfg)
+            f0.flags.writeable = False
+            null = (f0, max(e.nodes_used for e in e0), sum(not e.converged for e in e0),
+                    bound0, len(e0))
+            _recent_null = (model.probs, xs.copy(), cfg.abs_tol, null)
         fa, ea, bound_a = _cdf_on_grid(xs, alt_spec, cfg)
     dt = (time.perf_counter() - t0) / xs.size
-    meta = CurveMeta(max(e.nodes_used for e in e0), max(e.nodes_used for e in ea),
-                     dt, sum(not e.converged for e in e0 + ea), ea[0].method,
-                     max(bound0, bound_a), len(e0) + len(ea))
-    return PowerCurve(x=xs, f0=f0, fa=fa, meta=meta)
+    f0, nodes0, bad0, bound0, count0 = null
+    meta = CurveMeta(nodes0, max(e.nodes_used for e in ea), dt,
+                     bad0 + sum(not e.converged for e in ea), ea[0].method,
+                     max(bound0, bound_a), count0 + len(ea))
+    return PowerCurve(x=xs, f0=f0.copy(), fa=fa, meta=meta)
 
 
 def _critical_start(alpha: float, spec: Spectrum) -> float:
@@ -216,13 +235,15 @@ def asymptotic_power(alpha: float, null_spec: Spectrum, alt_spec: Spectrum,
     """Power at significance level alpha: 1 - Fa(x*) where 1 - F0(x*) = alpha.
 
     From the null's two-cumulant scaled chi-square quantile, Newton's method
-    solves log tail(x) = log tail(x*) on F0's smaller tail (1 - F0 when alpha
-    < 1/2).  Its slope is F0's density while each step halves the residual
-    h, else, and on the real axis, the secant of the last two points.  A step
-    is clamped to [x/4, 4x]; one that leaves the sign bracket bisects it or,
+    solves h(x) = log tail(x) - log tail(x*) = 0 on F0's smaller tail (1 - F0
+    when alpha < 1/2), with h' = F0's density / tail.  From the second round,
+    while the density steers (both last slopes positive, each step halving
+    |h|), it steps to the zero of the cubic Hermite interpolant of x(h)
+    through the last two points; else, and on the real axis, along the
+    secant of the last two points.  A step is clamped to [x/4, 4x]; one that leaves the sign bracket bisects it or,
     while an end is open, moves x outward by 1.1, the factor squared each
     time.  It stops when |F0(x) - (1 - alpha)| <= ROOT_TOL or the bracket is
-    a few ulp wide: about 4 ``cdf`` calls per alpha, the alternative's
+    a few ulp wide: 3 or 4 ``cdf`` calls per alpha, the alternative's
     included, and 6-20 with a density off by up to a factor of 100.
     """
     if not 0.0 < alpha < 1.0:
@@ -242,11 +263,16 @@ def asymptotic_power(alpha: float, null_spec: Spectrum, alt_spec: Spectrum,
         tail = 1.0 - ev.value if sign < 0.0 else ev.value
         h = sign * (math.log(tail) - goal) if tail > 0.0 else math.nan
         slope = ev.density / tail if tail > 0.0 else math.nan
-        # the density steers while its steps halve |h|; else the secant does
-        if prev and not (slope > 0.0 and abs(h) <= 0.5 * abs(prev[1])):
-            slope = (h - prev[1]) / (x - prev[0])
-        prev = (x, h)
-        new = min(max(x - h / slope, 0.25 * x), 4.0 * x) if slope > 0.0 else math.nan
+        x1, h1, s1 = prev or (x, h, math.nan)
+        if prev and slope > 0.0 and s1 > 0.0 and abs(h) <= 0.5 * abs(h1):
+            # the density steers: the zero of x(h)'s cubic Hermite interpolant
+            t, u = h1 / (h1 - h), h / (h - h1)
+            new = x - t * t * h / slope - u * u * (h1 / s1 - (1.0 + 2.0 * t) * (x1 - x))
+        else:   # Newton's step in the first round, else the secant's
+            rate = (h - h1) / (x - x1) if prev else slope
+            new = x - h / rate if rate > 0.0 else math.nan
+        prev = (x, h, slope)
+        new = min(max(new, 0.25 * x), 4.0 * x)   # a NaN stays NaN
         if not lo < new < hi:
             if lo > 0.0 and hi < math.inf:
                 new = 0.5 * (lo + hi)

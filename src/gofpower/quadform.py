@@ -458,24 +458,30 @@ def _imhof_windows(xs, s2, cnt, z2, ell: int):
     tiny sigma^2 puts far out; so Y is the first doubling of 10 + sqrt(ell)
     past which the exact slope moves by under 5% over one more doubling
     (at most 10 doublings), and the half-period is pi / |slope(Y)|.  The
-    slopes at all eleven doublings come from one (x, 11, group) pass.
+    slopes at all eleven doublings come from (x, 11, group) passes of at
+    most _POINT_ELEMENTS elements, or one x, each row worked alone.
     """
-    a = (s2 / xs[:, None])[:, None, :]
     y = (10.0 + math.sqrt(ell)) * 2.0 ** np.arange(11)
-    # a q (cnt + z2 (1 - t^2) q) with t = 2 y a and q = 1/(1 + t^2), in place
-    t2 = np.square((2.0 * y)[:, None] * a)
-    q = np.add(1.0, t2)
-    q = np.divide(1.0, q, out=q)
-    np.subtract(1.0, t2, out=t2)
-    t2 *= z2
-    t2 *= q
-    t2 += cnt
-    q *= a
-    q *= t2
-    slope = q.sum(axis=2) - 1.0
-    moving = np.abs(slope[:, 1:] - slope[:, :-1]) >= 0.05 * np.abs(slope[:, :-1])
-    first = np.argmin(np.column_stack([moving, np.zeros(xs.size, bool)]), axis=1)
-    return y[first].tolist(), (math.pi / np.abs(slope[np.arange(xs.size), first])).tolist()
+    ends, periods = [], []
+    step = max(1, _POINT_ELEMENTS // (11 * s2.size))
+    for part in (xs[lo:lo + step] for lo in range(0, xs.size, step)):
+        a = (s2 / part[:, None])[:, None, :]
+        # a q (cnt + z2 (1 - t^2) q) with t = 2 y a and q = 1/(1 + t^2), in place
+        t2 = np.square((2.0 * y)[:, None] * a)
+        q = np.add(1.0, t2)
+        q = np.divide(1.0, q, out=q)
+        np.subtract(1.0, t2, out=t2)
+        t2 *= z2
+        t2 *= q
+        t2 += cnt
+        q *= a
+        q *= t2
+        slope = q.sum(axis=2) - 1.0
+        moving = np.abs(slope[:, 1:] - slope[:, :-1]) >= 0.05 * np.abs(slope[:, :-1])
+        first = np.argmin(np.column_stack([moving, np.zeros(part.size, bool)]), axis=1)
+        ends += y[first].tolist()
+        periods += (math.pi / np.abs(slope[np.arange(part.size), first])).tolist()
+    return ends, periods
 
 
 def _tail_bound(s2, cnt, z2, ell: int) -> Callable:

@@ -10,7 +10,7 @@ import pytest
 
 from oracles import chi2_cdf, noncentral_chi2_cdf
 
-from gofpower import cli
+from gofpower import cli, power
 from gofpower.cli import EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK, main
 from gofpower.model import builtin_examples
 from gofpower.power import default_grid, power_curve
@@ -329,6 +329,20 @@ class TestExamplesCommand:
         assert methods == {"example1": "ShiftedContour", "example2": "ShiftedContour",
                            "example3": "ShiftedContour", "example4": "Imhof"}
 
+    def test_a_shared_model_computes_its_null_law_once(self, capsys, tmp_path,
+                                                       monkeypatch):
+        # examples 3 and 4 share a model: 7 CDF families and 7 simulations
+        calls = {"_cdf_on_grid": 0, "simulate_statistics": 0}
+        for module, name in ((power, "_cdf_on_grid"), (cli, "simulate_statistics")):
+            def counting(*args, _real=getattr(module, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(module, name, counting)
+        code, _, err = run(capsys, "examples", "--out-dir", str(tmp_path),
+                           "--n", "1000000", "--trials", "400", "--grid-step", "0.05")
+        assert code == EXIT_OK, err
+        assert calls == {"_cdf_on_grid": 7, "simulate_statistics": 7}
+
     def test_failure_removes_partial_outputs(self, capsys, tmp_path, monkeypatch):
         calls = []
 
@@ -467,6 +481,16 @@ def test_committed_example_outputs_match_the_code():
         assert np.abs(table[:, 2] - curve.fa).max() <= 1e-9, name
         assert (int(costs[name]["q0"]), int(costs[name]["qa"])) == (
             curve.meta.max_nodes_null, curve.meta.max_nodes_alt), name
+
+
+def test_committed_examples_3_and_4_share_the_null_columns():
+    # both are alternatives to one Poisson(3) model
+    root = Path(__file__).resolve().parent.parent
+    columns = []
+    for name in ("example3", "example4"):
+        with open(root / f"{name}_curve.csv", encoding="utf-8") as fh:
+            columns.append([(row["x"], row["F0"], row["alpha"]) for row in csv.DictReader(fh)])
+    assert columns[0] == columns[1]
 
 
 def test_examples_writes_the_committed_files(capsys, tmp_path):

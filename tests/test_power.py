@@ -176,6 +176,75 @@ class TestPowerCurve:
             f'<polyline fill="none" stroke="black" stroke-width="1.5" points="{pts}"/>')
 
 
+@pytest.fixture
+def families(monkeypatch):
+    """The spectra whose CDF family ``power_curve`` computes, in order."""
+    specs = []
+
+    def counting(xs, spec, cfg):
+        specs.append(spec)
+        return _cdf_on_grid(xs, spec, cfg)
+
+    monkeypatch.setattr(power, "_cdf_on_grid", counting)
+    return specs
+
+
+def fresh_curve(model, pert, grid, cfg=None):
+    power._recent_null = (None, None, None, None)
+    return power_curve(model, pert, grid, cfg)
+
+
+def assert_same_curve(got, want):
+    assert got.f0.tobytes() == want.f0.tobytes()
+    assert got.fa.tobytes() == want.fa.tobytes()
+    assert (dataclasses.replace(got.meta, seconds_per_point=0.0)
+            == dataclasses.replace(want.meta, seconds_per_point=0.0))
+
+
+class TestNullFamilyMemo:
+    """``power_curve`` keeps the last null family, keyed on p0's array, the
+    grid's values and abs_tol."""
+
+    grid = default_grid(0.05)   # 100 points: interpolated
+
+    def test_a_shared_model_computes_its_null_once(self, families):
+        (_, model, pert3), (_, same, pert4) = builtin_examples()[2:]
+        assert same is model
+        power_curve(model, pert3, self.grid)
+        got = power_curve(model, pert4, self.grid)
+        assert [s.stability_rhs == 1.0 for s in families] == [True, False, False]
+        assert_same_curve(got, fresh_curve(model, pert4, self.grid))
+
+    def test_a_changed_key_never_hits(self, families):
+        (_, model, pert), = builtin_examples()[3:]
+        twin = type(model)(model.probs)   # equal values in another array
+        grid = self.grid.copy()
+        power_curve(model, pert, grid)
+        grid *= 1.5   # the same array, changed in place
+        for args in ((twin, pert, self.grid), (model, pert, grid),
+                     (model, pert, self.grid, QuadratureConfig(1e-10))):
+            families.clear()
+            got = power_curve(*args)
+            assert [s.stability_rhs == 1.0 for s in families] == [True, False]
+            assert_same_curve(got, fresh_curve(*args))
+
+    def test_a_returned_f0_is_the_callers(self):
+        (_, model, pert3), (_, _, pert4) = builtin_examples()[2:]
+        first = power_curve(model, pert3, self.grid)
+        first.f0[:] = 0.5
+        assert_same_curve(power_curve(model, pert4, self.grid),
+                          fresh_curve(model, pert4, self.grid))
+
+    def test_the_entry_holds_no_evaluations(self):
+        _, model, pert = builtin_examples()[0]
+        curve = power_curve(model, pert, self.grid)
+        p0, grid, abs_tol, (f0, *counts) = power._recent_null
+        assert p0 is model.probs and abs_tol == DEFAULT_CONFIG.abs_tol
+        assert grid.tobytes() == self.grid.tobytes() and grid is not self.grid
+        assert f0.tobytes() == curve.f0.tobytes() and not f0.flags.writeable
+        assert [type(c) for c in counts] == [int, int, float, int]
+
+
 def lobatto(n):
     return np.cos(np.arange(n + 1) * (math.pi / n))
 
@@ -365,6 +434,27 @@ def test_critical_value_cost_and_range(case, cdf_calls):
         cap = 5 if alpha in (0.01, 0.05, 0.1) else 16
         assert len(cdf_calls) <= cap, (alpha, len(cdf_calls))
         assert alpha - 1e-7 <= got <= 1.0, (alpha, got)
+
+
+def test_hermite_steps_save_null_calls(cdf_calls):
+    # while the density steers, each step goes to the zero of x(h)'s cubic
+    # Hermite interpolant through the last two points.  On 30 seeded shifted
+    # spectra at the three levels model-sweep asks for, Newton's step took
+    # 3.54 null calls per alpha (41 threes, 49 fours); these take at most 3.1
+    # on average, and none more than 4
+    rng = np.random.default_rng(3434)
+    counts = []
+    for _ in range(30):
+        ell = int(rng.integers(2, 80))
+        sigma2 = 10.0 ** -rng.uniform(0.0, rng.uniform(0.0, 3.0), ell)
+        zeta = rng.standard_normal(ell)
+        zeta *= math.sqrt(rng.uniform(0.5, 15.0) / (zeta @ zeta))
+        alt = Spectrum(np.sqrt(sigma2), zeta)
+        for alpha in (0.01, 0.05, 0.1):
+            cdf_calls.clear()
+            assert asymptotic_power(alpha, alt.null(), alt) >= alpha - 1e-7
+            counts.append(len(cdf_calls) - 1)   # the last is the alternative's
+    assert np.mean(counts) <= 3.1 and max(counts) <= 4, np.bincount(counts)
 
 
 @pytest.mark.parametrize("scale", [0.01, 0.1, 0.5, 2.0, 10.0, 100.0])

@@ -925,12 +925,10 @@ def imhof_windows_loop(xs, s2, cnt, z2, ell):
     return y.tolist(), (math.pi / np.abs(now)).tolist()
 
 
-def test_imhof_windows_match_the_doubling_loop():
-    # on seeded spectra with tied sigma^2, spreads of sigma^2 up to 1e10 and
-    # zeta = 0 on a third of them, at tied and spread x, the one-pass
-    # windows equal the loop's bit for bit
+def window_cases():
+    """600 seeded (xs, groups) with tied sigma^2, spreads of sigma^2 up to
+    1e10 and zeta = 0 on a third of them, at tied and spread x."""
     rng = np.random.default_rng(3303)
-    doublings = set()
     for k in range(600):
         ell = int(rng.integers(1, 90))
         sigma2 = 10.0 ** -rng.uniform(0.0, rng.uniform(0.0, 10.0), ell)
@@ -938,12 +936,35 @@ def test_imhof_windows_match_the_doubling_loop():
         zeta = rng.uniform(-2.0, 2.0, ell) * (k % 3 != 0)
         groups = Spectrum(np.sqrt(sigma2), zeta).groups
         xs = 10.0 ** rng.uniform(-3.0, 2.0, int(rng.integers(1, 9))) * sigma2.sum()
-        xs = np.concatenate([xs, xs[:2]])
+        yield np.concatenate([xs, xs[:2]]), groups
+
+
+def test_imhof_windows_match_the_doubling_loop():
+    # on the seeded cases, the one-pass windows equal the loop's bit for bit
+    doublings = set()
+    for k, (xs, groups) in enumerate(window_cases()):
         got = quadform._imhof_windows(xs, *groups)
         assert got == imhof_windows_loop(xs, *groups), k
         base = 10.0 + math.sqrt(groups[3])
         doublings.update(round(math.log2(y / base)) for y in got[0])
     assert {0, 1, 2, 3, 4} <= doublings
+
+
+def test_imhof_window_slices_match_one_pass(monkeypatch):
+    # a batch's windows come in slices of at most _POINT_ELEMENTS elements
+    # (11 per x and group); each row is worked alone, so the slices give the
+    # one pass's bits: on the seeded cases cut to 1-3 points a slice, and on
+    # a 128-point batch at 399 groups, which the default cuts to 7 a slice
+    cases = [(xs, groups, 11 * groups[0].size * (k % 3 + 1))
+             for k, (xs, groups) in enumerate(window_cases())]
+    big = point_spectrum(399).groups
+    assert quadform._POINT_ELEMENTS // (11 * big[0].size) == 7
+    cases.append((np.geomspace(1e-3, 1e2, 128) * big[0].sum(), big, quadform._POINT_ELEMENTS))
+    for k, (xs, groups, elements) in enumerate(cases):
+        monkeypatch.setattr(quadform, "_POINT_ELEMENTS", 11 * groups[0].size * xs.size)
+        whole = quadform._imhof_windows(xs, *groups)
+        monkeypatch.setattr(quadform, "_POINT_ELEMENTS", elements)
+        assert quadform._imhof_windows(xs, *groups) == whole, k
 
 
 def point_spectrum(g, seed=4040):
