@@ -4,12 +4,18 @@ Each trial draws a multinomial sample of size n from p_a = p0 + a/sqrt(n)
 and forms X_n = n * sum_k (Y_k - (p0)_k)^2.  Trial t draws from its own
 counter-based Philox stream, keyed [seed mod 2^64, t] with its counter at
 zero, so results are bit-for-bit reproducible and trial t's counts do not
-depend on how many trials run or in what order.
+depend on how many trials run or in what order.  So two threads, each in
+_BLOCK / 2-row blocks, may split the trials without changing a bit; numpy's
+multinomial releases the GIL, which pays once a draw outweighs its ~2 us of
+Python.  On a 2-vCPU VM, 4,000 trials at n = 10^6 ran 0.74x at m = 120 and
+1.2-1.9x from m = 130 to 1,000, but 1.00x at m = 200 and n = 300.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -30,6 +36,7 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 _BLOCK = 256  # rows of counts buffered per statistic update; bounds memory
+_THREAD_BINS = 200  # from this many bins the trials are split across 2 threads
 _MIN_TAIL_TRIALS = 10  # below alpha*trials of this, quantiles are unreliable
 
 
@@ -55,8 +62,8 @@ class EmpiricalPowerPoint:
     low_sample: bool = False
 
 
-def _count_blocks(seed: int, n: int, p: np.ndarray, trials: int):
-    """Yield (first trial, counts) blocks of at most _BLOCK rows.
+def _count_blocks(seed: int, n: int, p: np.ndarray, stop: int, start=0, block=_BLOCK):
+    """Yield (first trial, counts) blocks of trials [start, stop), block rows at most.
 
     Row t of the run is trial t's multinomial(n, p) draw, equal to the draw
     of a fresh Generator(Philox(key=[seed & _MASK64, t])).  One Philox is
@@ -73,9 +80,9 @@ def _count_blocks(seed: int, n: int, p: np.ndarray, trials: int):
              "state": {"counter": [0, 0, 0, 0], "key": key},
              "buffer": [0, 0, 0, 0], "buffer_pos": 4,
              "has_uint32": 0, "uinteger": 0}
-    buf = np.empty((min(_BLOCK, trials), p.size), dtype=np.int64)
-    for lo in range(0, trials, _BLOCK):
-        rows = buf[:min(_BLOCK, trials - lo)]
+    buf = np.empty((min(block, stop - start), p.size), dtype=np.int64)
+    for lo in range(start, stop, block):
+        rows = buf[:min(block, stop - lo)]
         for i in range(rows.shape[0]):
             key[1] = lo + i
             bitgen.state = state
@@ -92,6 +99,9 @@ def simulate_statistics(model: ProbabilityModel, pert: Perturbation,
     Trial t always consumes its own Philox stream keyed [seed mod 2^64, t],
     so its statistic is the same whatever the trial count.  An alternative
     p_a = p0 + a/sqrt(n) that leaves [0, 1] raises ``AlternativeError``.
+    From _THREAD_BINS bins, _BLOCK trials and two usable CPUs, a worker
+    thread draws trials [T/2, T), joined before the call returns; an
+    exception in either half stops the other within a block and is raised.
     """
     if trials < 1:
         raise ValueError("trials must be a positive integer")
@@ -107,13 +117,37 @@ def simulate_statistics(model: ProbabilityModel, pert: Perturbation,
             f"p0 + a/sqrt(n) leaves [0, 1] at bins {(bad + 1).tolist()} (n={n})")
     inv_n = 1.0 / n
     stats = np.empty(trials)
-    for lo, counts in _count_blocks(seed, n, p_a, trials):
-        d = counts * inv_n - p0
-        # a stack of (1, m) @ (m, 1) products: matmul hands each one to the
-        # same 1-D dot that row @ row uses, so every statistic rounds as if
-        # reduced on its own; d @ d.T, einsum or sum(axis=1) would not
-        stats[lo:lo + d.shape[0]] = n * np.matmul(d[:, None, :],
-                                                  d[:, :, None]).ravel()
+    halt, errors = threading.Event(), []
+
+    def fill(start, stop, block):
+        try:
+            for lo, counts in _count_blocks(seed, n, p_a, stop, start, block):
+                d = counts * inv_n - p0
+                # a stack of (1, m) @ (m, 1) products: matmul hands each to the
+                # same 1-D dot that row @ row uses, so every statistic rounds as
+                # if reduced on its own; d @ d.T, einsum or sum(axis=1) would not
+                stats[lo:lo + d.shape[0]] = n * np.matmul(d[:, None, :],
+                                                          d[:, :, None]).ravel()
+                if halt.is_set():
+                    return
+        except BaseException as exc:  # raised below, on the calling thread
+            errors.append(exc)
+            halt.set()
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    if model.m < _THREAD_BINS or trials < _BLOCK or (cpus or 1) < 2:
+        fill(0, trials, _BLOCK)
+    else:
+        worker = threading.Thread(target=fill, args=(trials // 2, trials, _BLOCK // 2))
+        worker.start()
+        try:
+            fill(0, trials // 2, _BLOCK // 2)
+            worker.join()
+        finally:  # a join cut short leaves the worker to stop within a block
+            halt.set()
+            worker.join()
+    if errors:
+        raise errors[0]
     stats.flags.writeable = False
     return SimulationResult(statistics=stats, n=n, trials=trials, seed=seed)
 

@@ -108,8 +108,9 @@ def _chebyshev(values: np.ndarray, t: np.ndarray) -> np.ndarray:
     c = np.fft.rfft(np.concatenate((values, values[-2:0:-1]))).real / n
     c[[0, -1]] *= 0.5
     b1 = b2 = np.zeros_like(t)
+    t2 = 2.0 * t   # 2.0 * t * b1 already rounds 2t first: the same bits
     for ck in c[:0:-1].tolist():
-        b1, b2 = ck + 2.0 * t * b1 - b2, b1
+        b1, b2 = ck + t2 * b1 - b2, b1
     return c[0] + t * b1 - b2
 
 

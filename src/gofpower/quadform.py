@@ -614,17 +614,16 @@ def cdf_many(xs, spec: "Spectrum", cfg: QuadratureConfig | None = None,
     # a lone point's round in one kernel call, or equal calls if it is large
     most = max(1, _POINT_ELEMENTS // (PANEL_SIZE * args[0].size))
 
-    def evaluate(xr, half, table, rows=None):
-        # the panels half[rows], table[:, rows] (all of them, in order, when
-        # rows is None), plan.step a kernel call in a batch; the j-th at x
-        # xr[j], or every one at xr's lone x
-        parts, total = [], half.size if rows is None else rows.size
-        calls = -(-total // most)
+    def evaluate(xr, total, panels):
+        # ``total`` panels, plan.step a kernel call in a batch; the j-th at x
+        # xr[j], or every one at xr's lone x.  panels(slice(lo, hi)) gives
+        # the half-widths and node table of panels lo to hi, built for each
+        # call so that a large round's table is never whole
+        parts, calls = [], -(-total // most)
         cuts = ([*range(0, total, plan.step), total] if len(positive) > 1
                 else [total * k // calls for k in range(calls + 1)])
         for lo, hi in zip(cuts, cuts[1:]):
-            pick = slice(lo, hi) if rows is None else rows[lo:hi]
-            parts.append(_eval_panels(kernel, half[pick], table[:, pick],
+            parts.append(_eval_panels(kernel, *panels(slice(lo, hi)),
                                       xr if xr.size == 1 else xr[lo:hi], *args))
         return parts[0] if len(parts) == 1 else [np.concatenate(p) for p in zip(*parts)]
 
@@ -639,17 +638,18 @@ def cdf_many(xs, spec: "Spectrum", cfg: QuadratureConfig | None = None,
             # the first round reads the node table: a slice for a lone point,
             # a gather for a batch
             if len(sizes) == 1:
-                first = evaluate(chunk, half[:sizes[0]], table[:, :sizes[0]])
+                first = evaluate(chunk, sizes[0], lambda s: (half[s], table[:, s]))
             else:
                 rows = np.arange(sum(sizes)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-                first = evaluate(np.repeat(chunk, sizes), half, table, rows)
+                first = evaluate(np.repeat(chunk, sizes), rows.size,
+                                 lambda s: (half[rows[s]], table[:, rows[s]]))
         else:
             ends, periods = _imhof_windows(chunk, *spec.groups)
             # one head panel per 2 pi: the phase runs at about unit speed
             heads = [_panels(y, math.ceil(y / (2.0 * math.pi))) for y in ends]
             tail_err, first = [0.0] * len(ends), None
         results += _integrate(cfg, heads, tail_err, lambda edges, owners: evaluate(
-            chunk[owners], *_node_table(edges, ell)), periods, first)
+            chunk[owners], len(edges), lambda s: _node_table(edges[s], ell)), periods, first)
     results = iter(results)
     out = []
     for x in xs:

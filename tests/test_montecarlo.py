@@ -1,13 +1,17 @@
 """Monte-Carlo simulation of the scaled statistic and empirical power."""
 
+import functools
 import itertools
 import math
+import os
+import threading
 import warnings
 
 import numpy as np
 import pytest
 
 from oracles import empirical_power_reference, fresh_stream_statistics
+from test_quadform import run_threads
 
 from gofpower.model import (
     AlternativeError,
@@ -19,9 +23,16 @@ from gofpower.model import (
     zero_perturbation,
 )
 from gofpower.cli import _MC_ALPHA_GRID
+from gofpower import montecarlo
 from gofpower.montecarlo import _count_blocks, empirical_power, simulate_statistics
 from gofpower.quadform import cdf
 from gofpower.spectrum import compute_spectrum
+
+
+def use_cpus(monkeypatch, cpus):
+    """Make the process look as if it may run on ``cpus`` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
 
 
 class TestSimulateStatistics:
@@ -48,19 +59,22 @@ class TestSimulateStatistics:
         c = simulate_statistics(model, pert, 1000, 200, seed=8)
         assert not np.array_equal(a.statistics, c.statistics)
 
-    def test_each_trial_matches_a_fresh_generator(self):
+    def test_each_trial_matches_a_fresh_generator(self, monkeypatch):
         # trial t is the draw of a fresh Philox keyed [seed mod 2^64, t],
         # bit for bit; 257 and 800 trials straddle the 256-row count blocks
         # and 512 ends on a full one; 2^64 - 1 is the largest key and 2^64
-        # wraps to 0
+        # wraps to 0.  From 200 bins and 256 trials two threads share the
+        # run: 256 and 512 split it on a 256-row block boundary, 257 and 513
+        # inside a block; 199 bins and 255 trials stay on one thread
+        use_cpus(monkeypatch, 2)
         n = 5000
-        for m in (2, 7, 300):
+        for m in (2, 7, 199, 200, 300):
             model = ProbabilityModel(np.arange(m, 2 * m) / (m * (3 * m - 1) / 2))
             pert = Perturbation(np.linspace(-0.05, 0.05, m))
             p_a = model.probs + pert.entries / math.sqrt(n)
             for seed, trials in itertools.product(
                     (5, -3, 2 ** 63 + 1, 2 ** 64 - 1, 2 ** 64),
-                    (1, 257, 512, 800)):
+                    (1, 2, 255, 256, 257, 512, 513, 800)):
                 sim = simulate_statistics(model, pert, n, trials, seed)
                 expected = fresh_stream_statistics(seed, n, p_a, model.probs,
                                                    trials)
@@ -111,6 +125,84 @@ class TestSimulateStatistics:
             ecdf_lo = i / 40_000
             worst = max(worst, abs(ecdf_hi - f), abs(ecdf_lo - f))
         assert worst < 0.01
+
+
+def spread_model(m, seed):
+    """An m-bin model with masses over one decade and a small alternative."""
+    rng = np.random.default_rng(seed)
+    p0 = 10.0 ** rng.uniform(0.0, 1.0, m)
+    a = rng.standard_normal(m)
+    return ProbabilityModel(p0 / p0.sum()), Perturbation(1e-3 * (a - a.mean()))
+
+
+class TestTwoThreads:
+    """From _THREAD_BINS bins a run splits its trials across two threads."""
+
+    def threads_drawing(self, monkeypatch, cpus, fail=None):
+        """Force the CPU count and record (thread, first trial) per block;
+        ``fail`` maps a half's first trial to what its second block raises."""
+        use_cpus(monkeypatch, cpus)
+        real, seen = montecarlo._count_blocks, []
+
+        def blocks(seed, n, p, stop, start=0, block=montecarlo._BLOCK):
+            for i, (lo, rows) in enumerate(real(seed, n, p, stop, start, block)):
+                if i == 1 and start in (fail or {}):
+                    raise fail[start]
+                seen.append((threading.get_ident(), start, lo))
+                yield lo, rows
+
+        monkeypatch.setattr(montecarlo, "_count_blocks", blocks)
+        return seen
+
+    def test_one_cpu_gives_the_same_bytes(self, monkeypatch):
+        model, pert = spread_model(300, 1)
+        runs = {}
+        for cpus in (1, 2):
+            seen = self.threads_drawing(monkeypatch, cpus)
+            runs[cpus] = simulate_statistics(model, pert, 10 ** 6, 1000, 9)
+            assert {start for _, start, _ in seen} == ({0} if cpus == 1 else {0, 500})
+            assert len({ident for ident, _, _ in seen}) == cpus
+        assert runs[1].statistics.tobytes() == runs[2].statistics.tobytes()
+
+    def test_small_models_and_runs_stay_on_one_thread(self, monkeypatch):
+        for m, trials in ((199, 1000), (300, 255)):
+            seen = self.threads_drawing(monkeypatch, 2)
+            model, pert = spread_model(m, 2)
+            simulate_statistics(model, pert, 10 ** 6, trials, 9)
+            assert {start for _, start, _ in seen} == {0}
+
+    def test_concurrent_calls_match_serial_bytes(self, monkeypatch):
+        # 4 calling threads, each starting its own worker, under a 10 us
+        # switch interval
+        cases = [(spread_model(300, k), 7 * k, 300 + 97 * k) for k in range(8)]
+        use_cpus(monkeypatch, 1)
+        serial = [simulate_statistics(model, pert, 10 ** 6, trials, seed)
+                  for (model, pert), seed, trials in cases]
+        use_cpus(monkeypatch, 2)
+        before = threading.active_count()
+        got = run_threads([functools.partial(simulate_statistics, model, pert,
+                                             10 ** 6, trials, seed)
+                           for (model, pert), seed, trials in cases], 4)
+        assert [sim.statistics.tobytes() for sim in got] == [
+            sim.statistics.tobytes() for sim in serial]
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("exc", [RuntimeError("boom"), KeyboardInterrupt()])
+    @pytest.mark.parametrize("half", ["worker", "caller"])
+    def test_an_exception_in_either_half_is_raised(self, monkeypatch, half, exc):
+        # the failing half raises at its second block; the other half stops
+        # within one block of it, and no thread outlives the call
+        model, pert = spread_model(300, 3)
+        trials = 4000
+        first = trials // 2 if half == "worker" else 0
+        seen = self.threads_drawing(monkeypatch, 2, fail={first: exc})
+        before = threading.active_count()
+        with pytest.raises(type(exc)) as err:
+            simulate_statistics(model, pert, 10 ** 6, trials, 4)
+        assert err.value is exc
+        assert threading.active_count() == before
+        other = [lo for _, start, lo in seen if start != first]
+        assert len(other) < trials // 2 // (montecarlo._BLOCK // 2)
 
 
 class TestEmpiricalPower:

@@ -977,9 +977,11 @@ def point_spectrum(g, seed=4040):
 
 
 def record_kernel_calls(monkeypatch, spec, abs_tol):
-    """Monkeypatch both kernels and ``_node_table`` to record, in order,
-    ``("call", panels)`` for each kernel call and ``("round",)`` for each
-    node table built from edges: every round's but the shifted first's."""
+    """Monkeypatch both kernels, ``_node_table`` and ``_integrate`` to
+    record, in order, ``("call", panels)`` for each kernel call,
+    ``("table", panels)`` for each node table built from edges and
+    ``("round",)`` for each round that ``_integrate`` evaluates: every
+    round's but the shifted first's."""
     spec.plan.head(abs_tol)
     events = []
     for name in ("_shifted_values", "_imhof_values"):
@@ -987,22 +989,32 @@ def record_kernel_calls(monkeypatch, spec, abs_tol):
             events.append(("call", y.shape[0]))
             return _real(y, *args, **kwargs)
         monkeypatch.setattr(quadform, name, counting)
-    real_table = quadform._node_table
+    real_table, real_integrate = quadform._node_table, quadform._integrate
 
-    def table(*args):
-        events.append(("round",))
-        return real_table(*args)
+    def table(edges, *args):
+        events.append(("table", len(edges)))
+        return real_table(edges, *args)
+
+    def integrate(cfg, heads, tail_err, evaluate, *args):
+        def evaluate_round(edges, owners):
+            events.append(("round",))
+            return evaluate(edges, owners)
+        return real_integrate(cfg, heads, tail_err, evaluate_round, *args)
 
     monkeypatch.setattr(quadform, "_node_table", table)
+    monkeypatch.setattr(quadform, "_integrate", integrate)
     return events
 
 
 def rounds_of(events, method):
-    """The panels of each kernel call, grouped by round."""
+    """The panels of each kernel call, grouped by round; each node table
+    built from edges must hold exactly the next kernel call's panels."""
     rounds = [[]] if method is Method.SHIFTED_CONTOUR else []
-    for event in events:
+    for event, after in zip(events, [*events[1:], None]):
         if event[0] == "round":
             rounds.append([])
+        elif event[0] == "table":
+            assert after == ("call", event[1])
         else:
             rounds[-1].append(event[1])
     return rounds
