@@ -26,9 +26,9 @@ a point's first round reads its rows from there.  One round loop,
 ``_integrate``, runs the integrals of both forms, and of
 ``adaptive_integrate``: each round, every open integral asks for its next
 tail panels or the halves of its worst head panel, and one integrand call
-evaluates them all, in kernel calls of at most 8,192 node x group elements
-for a batch; a lone point's round takes one call of up to 32,768, whose
-temporaries live in a scratch kept per thread.
+evaluates them all, in equal kernel calls of at most 32,768 node x group
+elements that write into one array; a call over 8,192 elements keeps its
+temporaries in a scratch kept per thread.
 """
 
 from __future__ import annotations
@@ -53,13 +53,13 @@ __all__ = [
     "NumericalFailureError", "cdf", "cdf_many",
 ]
 
-# work in flight in cdf_many: integrals advanced together, and node x group
-# elements per kernel call, _MAX_ELEMENTS in a batch.  Each call costs a
-# fixed overhead, so a lone point's round takes one call of up to
-# _POINT_ELEMENTS, or equal calls past that, in the thread's scratch.
+# work in flight in cdf_many: integrals advanced together, and the node x
+# group elements of a kernel call, at most _CALL_ELEMENTS.  A call over
+# _SCRATCH_ELEMENTS works in the thread's scratch, as fresh arrays that large
+# page-fault on every call; a smaller one is faster on fresh arrays.
 _IN_FLIGHT = 128
-_MAX_ELEMENTS = 8192
-_POINT_ELEMENTS = 32768
+_CALL_ELEMENTS = 32768
+_SCRATCH_ELEMENTS = 8192
 _scratch = threading.local()
 # bisections an integral may spend after its first round
 _MAX_BISECTIONS = 200
@@ -189,14 +189,14 @@ def _y_factors(y, ell):
 
 
 def _temps(shape: tuple, count: int) -> list:
-    """``count`` arrays of ``shape`` for a kernel call of over _MAX_ELEMENTS
-    elements: views of this thread's scratch, which grows to at most count x
-    _POINT_ELEMENTS and is never shrunk (fresh arrays that large page-fault
-    on every call), or fresh arrays past that size."""
+    """``count`` arrays of ``shape`` for a kernel call of over
+    _SCRATCH_ELEMENTS elements: views of this thread's scratch, which grows
+    to at most count x _CALL_ELEMENTS and is never shrunk, or fresh arrays
+    past that size (a lone panel at over _CALL_ELEMENTS / 21 groups)."""
     size = math.prod(shape)
-    if size > _POINT_ELEMENTS:
+    if size > _CALL_ELEMENTS:
         return list(np.empty((count, *shape)))
-    if getattr(_scratch, "buf", np.empty(0)).size < count * size:
+    if getattr(_scratch, "buf", None) is None or _scratch.buf.size < count * size:
         _scratch.buf = np.empty(count * size)
     return list(_scratch.buf[:count * size].reshape(count, *shape))
 
@@ -217,7 +217,7 @@ def _shifted_values(y, x, s2, cnt4, cnt2, z2h, ell, factors=None):
     a = (s2 / x[:, None])[:, None, :]
     # the (node, group) arrays, worked in place: fresh, or the scratch's
     re = im = r2 = tmp = None
-    if y.size * g > _MAX_ELEMENTS:
+    if y.size * g > _SCRATCH_ELEMENTS:
         re, im, r2, tmp = _temps((*shape, g), 4)
         r2, tmp = r2.reshape(-1, g), tmp.reshape(-1, g)
     re = np.subtract(1.0, np.multiply(y2m[:, :, None], a, out=re), out=re).reshape(-1, g)
@@ -256,7 +256,7 @@ def _imhof_values(y, x, s2, cnt4, cnt2, z2h, ell):
     shape, g = y.shape, s2.size
     # the (node, group) arrays, worked in place: fresh, or the scratch's
     t = t2 = tmp = None
-    if y.size * g > _MAX_ELEMENTS:
+    if y.size * g > _SCRATCH_ELEMENTS:
         t, t2, tmp = _temps((*shape, g), 3)
         t2, tmp = t2.reshape(-1, g), tmp.reshape(-1, g)
     t = np.multiply((2.0 * y)[:, :, None], (s2 / x[:, None])[:, None, :], out=t).reshape(-1, g)
@@ -286,22 +286,24 @@ def _node_table(edges, ell: int | None = None) -> tuple:
     return half, ys if ell is None else np.concatenate([ys, _y_factors(ys[0], ell)])
 
 
-def _eval_panels(f, half, table, *args):
+def _eval_panels(f, half, table, *args, out):
     """Evaluate the embedded pair in one call on panels of half-widths
     ``half`` and node table ``table`` (see ``_node_table``): f(ys, *args),
-    with the table's factors last if it has any; a density's integrand that
-    f returns second gets Kronrod values, else they are NaN."""
+    with the table's factors last if it has any.  Returns ``out``, (3,
+    panels), written with Kronrod values, error estimates and the Kronrod
+    values of a density's integrand that f returns second, else NaN."""
     ys, factors = table[0], (table[1:],) if len(table) > 1 else ()
-    fv, *dv = out if isinstance(out := f(ys, *args, *factors), tuple) else (out,)
-    kron = half * (fv @ _WK_FULL)
-    gauss = half * (fv @ _WG_FULL)
-    dens = [half * (v @ _WK_FULL) for v in dv]
+    fv, *dv = res if isinstance(res := f(ys, *args, *factors), tuple) else (res,)
+    kron, err, dens = out
+    np.multiply(half, fv @ _WK_FULL, out=kron)
+    np.abs(kron - np.multiply(half, fv @ _WG_FULL, out=err), out=err)
+    dens[:] = half * (dv[0] @ _WK_FULL) if dv else math.nan
     # every Kronrod weight is positive, so a non-finite node makes its
     # panel's sum non-finite; only then are the nodes searched
-    for v, sums in zip((fv, *dv), (kron, *dens)):
+    for v, sums in zip((fv, *dv), (kron, dens)):
         if not np.isfinite(sums).all() and not (ok := np.isfinite(v)).all():
             raise NumericalFailureError(float(ys[~ok][0]))
-    return kron, np.abs(kron - gauss), dens[0] if dv else np.full_like(half, math.nan)
+    return out
 
 
 @functools.lru_cache(maxsize=64)
@@ -348,9 +350,9 @@ def _integrate(cfg: QuadratureConfig, heads: list, tail_err: list, evaluate: Cal
     Each round, the panels that the open integrals ask for are stacked in
     order into one array and evaluated by ``evaluate(edges, owners)``, where
     ``owners[j]`` is the i that asked for panel j; it returns their Kronrod
-    values, error estimates and density values.  ``first``, those three for
-    every head's panels in order, stands in for the first round's call when
-    no head has a tail.
+    values, error estimates and density values as the rows of one array.
+    ``first``, that array for every head's panels in order, stands in for
+    the first round's call when no head has a tail.
     """
     abs_tol, count = cfg.abs_tol, len(heads)
     periods = half_periods or [0.0] * count
@@ -376,7 +378,7 @@ def _integrate(cfg: QuadratureConfig, heads: list, tail_err: list, evaluate: Cal
         if out is None:
             out = evaluate(np.array([p for *_, pairs in asks for p in pairs]),
                            np.repeat([i for i, *_ in asks], [len(pairs) for *_, pairs in asks]))
-        out = [a.tolist() for a in out]
+        out = out.tolist()
         lo, now, asks = 0, asks, []
         for i, j, pairs in now:
             v, e, d = [a[lo:lo + len(pairs)] for a in out]
@@ -448,7 +450,8 @@ def adaptive_integrate(f: Callable, cfg: QuadratureConfig | None = None, *,
         return np.asarray(f(ys.ravel()), dtype=float).reshape(ys.shape)
 
     return IntegralResult(*_integrate(cfg, [_panels(upper, 4)], [0.0], lambda edges, _:
-                                      _eval_panels(values, *_node_table(edges)))[0])
+                                      _eval_panels(values, *_node_table(edges),
+                                                   out=np.empty((3, len(edges)))))[0])
 
 
 def _imhof_windows(xs, s2, cnt, z2, ell: int):
@@ -459,11 +462,11 @@ def _imhof_windows(xs, s2, cnt, z2, ell: int):
     past which the exact slope moves by under 5% over one more doubling
     (at most 10 doublings), and the half-period is pi / |slope(Y)|.  The
     slopes at all eleven doublings come from (x, 11, group) passes of at
-    most _POINT_ELEMENTS elements, or one x, each row worked alone.
+    most _CALL_ELEMENTS elements, or one x, each row worked alone.
     """
     y = (10.0 + math.sqrt(ell)) * 2.0 ** np.arange(11)
     ends, periods = [], []
-    step = max(1, _POINT_ELEMENTS // (11 * s2.size))
+    step = max(1, _CALL_ELEMENTS // (11 * s2.size))
     for part in (xs[lo:lo + step] for lo in range(0, xs.size, step)):
         a = (s2 / part[:, None])[:, None, :]
         # a q (cnt + z2 (1 - t^2) q) with t = 2 y a and q = 1/(1 + t^2), in place
@@ -528,7 +531,6 @@ class Plan:
     * ``method``, the route taken by default;
     * ``kernel_args``, the kernels' group constants: sigma^2, cnt/4, cnt/2,
       zeta^2/2 per group (None when every zeta is 0), and ell;
-    * ``step``, the panels one kernel call of a batch evaluates;
     * ``log_tail``, the shifted contour's tail bound (``_tail_bound``), and
       ``head(abs_tol)``, its head panels, their ends and their node table,
       each built on the shifted route's first use; ``window(x, abs_tol)``
@@ -542,7 +544,6 @@ class Plan:
                        if spec.stability_rhs <= QuadratureConfig.stability_threshold
                        else Method.IMHOF)
         self.kernel_args = (s2, 0.25 * cnt, 0.5 * cnt, 0.5 * z2 if z2.any() else None, ell)
-        self.step = max(1, _MAX_ELEMENTS // (PANEL_SIZE * s2.size))
         self._heads: dict = {}
 
     @functools.cached_property
@@ -611,21 +612,19 @@ def cdf_many(xs, spec: "Spectrum", cfg: QuadratureConfig | None = None,
     kernel = _shifted_values if shifted else _imhof_values
     positive = [x for x in xs if x > 0.0]
     args, ell = plan.kernel_args, spec.ell if shifted else None
-    # a lone point's round in one kernel call, or equal calls if it is large
-    most = max(1, _POINT_ELEMENTS // (PANEL_SIZE * args[0].size))
+    # the panels of one kernel call: a round takes the fewest equal calls
+    most = max(1, _CALL_ELEMENTS // (PANEL_SIZE * args[0].size))
 
     def evaluate(xr, total, panels):
-        # ``total`` panels, plan.step a kernel call in a batch; the j-th at x
-        # xr[j], or every one at xr's lone x.  panels(slice(lo, hi)) gives
-        # the half-widths and node table of panels lo to hi, built for each
-        # call so that a large round's table is never whole
-        parts, calls = [], -(-total // most)
-        cuts = ([*range(0, total, plan.step), total] if len(positive) > 1
-                else [total * k // calls for k in range(calls + 1)])
-        for lo, hi in zip(cuts, cuts[1:]):
-            parts.append(_eval_panels(kernel, *panels(slice(lo, hi)),
-                                      xr if xr.size == 1 else xr[lo:hi], *args))
-        return parts[0] if len(parts) == 1 else [np.concatenate(p) for p in zip(*parts)]
+        # ``total`` panels, the j-th at x xr[j], or every one at xr's lone
+        # x.  panels(s) gives the half-widths and node table of the slice s
+        # of them, built for each call so that a large round's table is
+        # never whole; each call writes its slice of the round's values
+        out, calls = np.empty((3, total)), -(-total // most)
+        for k in range(calls):
+            s = slice(total * k // calls, total * (k + 1) // calls)
+            _eval_panels(kernel, *panels(s), xr if xr.size == 1 else xr[s], *args, out=out[:, s])
+        return out
 
     results: list = []
     for k in range(0, len(positive), _IN_FLIGHT):
@@ -635,8 +634,8 @@ def cdf_many(xs, spec: "Spectrum", cfg: QuadratureConfig | None = None,
             head, _, (half, table) = plan.head(cfg.abs_tol)
             sizes, tail_err = zip(*[plan.window(x, cfg.abs_tol) for x in part])
             heads, periods = [head[:n] for n in sizes], None
-            # the first round reads the node table: a slice for a lone point,
-            # a gather for a batch
+            # the first round reads the node table: a gather for a batch, and
+            # for a lone point a slice, which copies nothing and so is faster
             if len(sizes) == 1:
                 first = evaluate(chunk, sizes[0], lambda s: (half[s], table[:, s]))
             else:

@@ -10,6 +10,7 @@ import math
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -670,24 +671,27 @@ def test_node_table_matches_the_heads_edges(abs_tol):
 def integrals_on_edges(spec, xs, cfg):
     """The shifted route as it ran before the node table: every point's
     integral run by ``_integrate`` from its first round, on nodes and
-    kernel factors built from the panels' edges in each ``plan.step``
-    chunk, an x a row, _IN_FLIGHT points at a time as ``cdf_many`` runs
-    them."""
+    kernel factors built from the panels' edges in each kernel call's
+    chunk (a round's fewest equal chunks of at most _CALL_ELEMENTS node x
+    group elements), an x a row, _IN_FLIGHT points at a time as
+    ``cdf_many`` runs them."""
     plan = spec.plan
     head, _, _ = plan.head(cfg.abs_tol)
+    most = max(1, quadform._CALL_ELEMENTS // (quadform.PANEL_SIZE * plan.kernel_args[0].size))
     results = []
     for k in range(0, len(xs), quadform._IN_FLIGHT):
         x = np.array(xs[k:k + quadform._IN_FLIGHT])
 
         def evaluate(edges, owners):
-            parts = []
-            for j in range(0, len(edges), plan.step):
-                e = edges[j:j + plan.step]
-                half = 0.5 * (e[:, 1] - e[:, 0])
-                ys = 0.5 * (e[:, 0] + e[:, 1])[:, None] + half[:, None] * quadform._NODES
-                parts.append(quadform._eval_panels(_shifted_values, half, ys[None],
-                                                   x[owners[j:j + plan.step]], *plan.kernel_args))
-            return tuple(np.concatenate(p) for p in zip(*parts))
+            total = len(edges)
+            out, calls = np.empty((3, total)), -(-total // most)
+            for j in range(calls):
+                s = slice(total * j // calls, total * (j + 1) // calls)
+                half = 0.5 * (edges[s, 1] - edges[s, 0])
+                ys = 0.5 * (edges[s, 0] + edges[s, 1])[:, None] + half[:, None] * quadform._NODES
+                quadform._eval_panels(_shifted_values, half, ys[None], x[owners[s]],
+                                      *plan.kernel_args, out=out[:, s])
+            return out
 
         windows = [plan.window(v, cfg.abs_tol) for v in x.tolist()]
         results += quadform._integrate(cfg, [head[:n] for n, _ in windows],
@@ -951,20 +955,46 @@ def test_imhof_windows_match_the_doubling_loop():
 
 
 def test_imhof_window_slices_match_one_pass(monkeypatch):
-    # a batch's windows come in slices of at most _POINT_ELEMENTS elements
+    # a batch's windows come in slices of at most _CALL_ELEMENTS elements
     # (11 per x and group); each row is worked alone, so the slices give the
     # one pass's bits: on the seeded cases cut to 1-3 points a slice, and on
     # a 128-point batch at 399 groups, which the default cuts to 7 a slice
     cases = [(xs, groups, 11 * groups[0].size * (k % 3 + 1))
              for k, (xs, groups) in enumerate(window_cases())]
     big = point_spectrum(399).groups
-    assert quadform._POINT_ELEMENTS // (11 * big[0].size) == 7
-    cases.append((np.geomspace(1e-3, 1e2, 128) * big[0].sum(), big, quadform._POINT_ELEMENTS))
+    assert quadform._CALL_ELEMENTS // (11 * big[0].size) == 7
+    cases.append((np.geomspace(1e-3, 1e2, 128) * big[0].sum(), big, quadform._CALL_ELEMENTS))
     for k, (xs, groups, elements) in enumerate(cases):
-        monkeypatch.setattr(quadform, "_POINT_ELEMENTS", 11 * groups[0].size * xs.size)
+        monkeypatch.setattr(quadform, "_CALL_ELEMENTS", 11 * groups[0].size * xs.size)
         whole = quadform._imhof_windows(xs, *groups)
-        monkeypatch.setattr(quadform, "_POINT_ELEMENTS", elements)
+        monkeypatch.setattr(quadform, "_CALL_ELEMENTS", elements)
         assert quadform._imhof_windows(xs, *groups) == whole, k
+
+
+def test_large_real_axis_batch_memory():
+    # a 128-point real-axis batch at 399 groups writes each kernel call's
+    # values into one array of its round, so its traced peak stays near
+    # that of one call's temporaries: under 3 MB, where per-call result
+    # arrays held in a list took 5.9 MB. The model is p0 ~ e^U, U uniform
+    # on [0, log 1e4], at m = 400
+    rng = np.random.default_rng(5)
+    p0 = np.exp(rng.uniform(0.0, math.log(1e4), 400))
+    p0 /= p0.sum()
+    a = rng.standard_normal(400)
+    a -= a.mean()
+    a *= math.sqrt(120.0 / float(np.sum(a * a / p0)))
+    spec = compute_spectrum(ProbabilityModel(p0), Perturbation(a - a.mean()))
+    assert spec.groups[0].size == 399
+    xs = (np.linspace(0.05, 4.0, 128) * spec.mean()).tolist()
+    cdf_many(xs[:4], spec, method=Method.IMHOF)
+    tracemalloc.start()
+    try:
+        evs = cdf_many(xs, spec, method=Method.IMHOF)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(ev.converged for ev in evs)
+    assert peak < 3e6
 
 
 def point_spectrum(g, seed=4040):
@@ -1023,53 +1053,49 @@ def rounds_of(events, method):
 @pytest.mark.parametrize("method", list(Method))
 @pytest.mark.parametrize("g", [40, 70, 400])
 def test_point_query_call_shape(g, method, monkeypatch):
-    # a lone point evaluates each round in one kernel call of at most
-    # _POINT_ELEMENTS node x group elements, or, past that, in near-equal
-    # calls of at most that; a batch keeps calls of plan.step panels
+    # a lone point and a batch alike evaluate each round in the fewest
+    # near-equal kernel calls of at most _CALL_ELEMENTS node x group
+    # elements: one call while the round fits, and a round past that (a
+    # batch's, or at g = 400 a lone point's) is split
     spec = point_spectrum(g)
     cfg = QuadratureConfig(1e-12)
     events = record_kernel_calls(monkeypatch, spec, cfg.abs_tol)
-    most = max(1, quadform._POINT_ELEMENTS // (quadform.PANEL_SIZE * g))
-    above = False
-    for c in (0.5, 1.0, 2.0):
+    most = max(1, quadform._CALL_ELEMENTS // (quadform.PANEL_SIZE * g))
+    split = False
+    queries = [[c * spec.mean()] for c in (0.5, 1.0, 2.0)]
+    for xs in [*queries, [c * spec.mean() for c in np.linspace(0.3, 4.0, 8)]]:
         events.clear()
-        ev = cdf(c * spec.mean(), spec, cfg, method)
+        evs = cdf_many(xs, spec, cfg, method)
         rounds = rounds_of(events, method)
-        assert ev.method is method and ev.converged
-        assert len(rounds) >= 1 + ev.bisections
+        assert all(ev.method is method and ev.converged for ev in evs)
+        assert len(rounds) >= 1 + max(ev.bisections for ev in evs)
         for calls in rounds:
             assert max(calls) <= most
             assert len(calls) == -(-sum(calls) // most)
             assert max(calls) - min(calls) <= 1
-        above |= max(map(sum, rounds)) * quadform.PANEL_SIZE * g > quadform._MAX_ELEMENTS
-    assert above
-    events.clear()
-    step = spec.plan.step
-    cdf_many([c * spec.mean() for c in (0.5, 1.0, 2.0)], spec, cfg, method)
-    for calls in rounds_of(events, method):
-        whole, rest = divmod(sum(calls), step)
-        assert calls == [step] * whole + ([rest] if rest else [])
+        split |= max(map(len, rounds)) > 1
+    assert split
 
 
 @pytest.mark.parametrize("g", [70, 400, 1600])
 def test_scratch_gives_the_bits_of_fresh_arrays(g, monkeypatch):
-    # a kernel call of over _MAX_ELEMENTS node x group elements works in
-    # the thread's scratch, and past _POINT_ELEMENTS (one panel at g = 1600)
-    # in fresh arrays; either way it returns the bits of the same call on
-    # fresh arrays, and the scratch never holds over 4 _POINT_ELEMENTS
+    # a kernel call of over _SCRATCH_ELEMENTS node x group elements works
+    # in the thread's scratch, and past _CALL_ELEMENTS (one panel at g =
+    # 1600) in fresh arrays; either way it returns the bits of the same call
+    # on fresh arrays, and the scratch never holds over 4 _CALL_ELEMENTS
     spec = point_spectrum(g)
     _, _, (half, table) = spec.plan.head(DEFAULT_CONFIG.abs_tol)
-    n = max(1, quadform._POINT_ELEMENTS // (quadform.PANEL_SIZE * g))
-    assert n * quadform.PANEL_SIZE * g > quadform._MAX_ELEMENTS
+    n = max(1, quadform._CALL_ELEMENTS // (quadform.PANEL_SIZE * g))
+    assert n * quadform.PANEL_SIZE * g > quadform._SCRATCH_ELEMENTS
 
     def calls():
         return [quadform._eval_panels(kernel, half[:n], rows[:, :n], np.array([spec.mean()]),
-                                      *spec.plan.kernel_args)
+                                      *spec.plan.kernel_args, out=np.empty((3, n)))
                 for kernel, rows in ((_shifted_values, table), (_imhof_values, table[:1]))]
 
     got = calls()
-    assert quadform._scratch.buf.size <= 4 * quadform._POINT_ELEMENTS
-    monkeypatch.setattr(quadform, "_MAX_ELEMENTS", 10 ** 9)
+    assert quadform._scratch.buf.size <= 4 * quadform._CALL_ELEMENTS
+    monkeypatch.setattr(quadform, "_SCRATCH_ELEMENTS", 10 ** 9)
     want = calls()
     assert [[a.tobytes() for a in out] for out in got] == [
         [a.tobytes() for a in out] for out in want]
@@ -1104,9 +1130,9 @@ def run_threads(jobs, count):
 
 @pytest.mark.parametrize("count", [2, 4])
 def test_scratch_is_per_thread(count):
-    # threads answering lone points whose kernel calls take their own
-    # thread's scratch, on both routes and on different spectra at once,
-    # return bit for bit what one thread returns
+    # threads answering lone points and batches whose kernel calls take
+    # their own thread's scratch, on both routes and on different spectra at
+    # once, return bit for bit what one thread returns
     cfg = QuadratureConfig(1e-12)
     cases = [(point_spectrum(g, seed), method) for g, seed, method in (
         (40, 1, Method.SHIFTED_CONTOUR), (70, 2, Method.IMHOF),
@@ -1115,6 +1141,8 @@ def test_scratch_is_per_thread(count):
     def job(spec, method):
         evs = [repr(cdf(c * spec.mean(), spec, cfg, method))
                for _ in range(3) for c in (0.5, 1.0, 2.0, 4.0)]
+        evs += map(repr, cdf_many([c * spec.mean() for c in np.linspace(0.3, 4.0, 12)],
+                                  spec, cfg, method))
         return evs, getattr(quadform._scratch, "buf", None) is not None
 
     serial = [job(*case)[0] for case in cases]
