@@ -172,7 +172,7 @@ def zero_perturbation(m: int) -> Perturbation:
 
 
 def load_case(path) -> tuple[ProbabilityModel, Perturbation]:
-    """Read a {"p0": [...], "a": [...]} JSON file; arrays must have equal length."""
+    """Read a {"p0": [...], "a": [...]} JSON file: two equal-length arrays of numbers."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -185,6 +185,9 @@ def load_case(path) -> tuple[ProbabilityModel, Perturbation]:
     p0, a = data["p0"], data["a"]
     if not isinstance(p0, list) or not isinstance(a, list) or len(p0) != len(a):
         raise BuilderError(f'{path}: "p0" and "a" must be arrays of equal length')
+    for name, k, v in ((n, k, v) for n in ("p0", "a") for k, v in enumerate(data[n], 1)):
+        if type(v) not in (int, float):   # json gives True as a bool, 1 as an int
+            raise BuilderError(f'{path}: "{name}"[{k}] is {json.dumps(v)}, not a number')
     try:
         return ProbabilityModel(p0), Perturbation(a)
     except ModelError as exc:

@@ -160,7 +160,8 @@ def empirical_power(sim_null: SimulationResult, sim_alt: SimulationResult,
     quantile of the null statistics (order statistic floor((1-alpha)*T) + 1,
     capped at T), all alphas at once; power is the fraction of alternative
     statistics at or above it, counted by bisecting the sorted alternative.
-    The attached standard error is sqrt(alpha (1 - alpha) / trials).
+    ``std_error`` = sqrt(alpha (1 - alpha) / T) is the binomial SE of the
+    empirical size at alpha, not the SE of the power, which can be far larger.
     """
     if sim_null.n != sim_alt.n:
         raise ValueError(

@@ -38,7 +38,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,70 +55,77 @@ _BLOCK = 128
 _MAX_SWEEPS = 4096
 
 
-def _groups(sigma, zeta):
-    """Group equal variances of a descending sigma: (sigma2, multiplicity,
-    summed zeta^2, ell).
-
-    The distribution depends on the zetas of an eigenvalue group only
-    through their summed squares, so the grouped integrand is exactly the
-    ungrouped one at a fraction of the cost when eigenvalues repeat.  A
-    group is a run of equal sigma^2; ``eigendecompose`` repeats a tie exactly.
-    """
-    s2 = sigma ** 2
-    starts = np.flatnonzero(np.concatenate(([True], s2[1:] != s2[:-1])))
-    arrays = (s2[starts], np.diff(starts, append=s2.size).astype(float),
-              np.add.reduceat(zeta ** 2, starts))
-    for arr in arrays:
-        arr.flags.writeable = False
-    return (*arrays, int(s2.size))
+def _frozen(arr):
+    arr.flags.writeable = False
+    return arr
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, init=False, repr=False, eq=False)   # frozen: no assignment
 class Spectrum:
-    """Parameters (sigma_k, zeta_k) of the limit law.
+    """Parameters (sigma_k, zeta_k) of the limit law, held as entries.
 
-    ``Spectrum(sigma, zeta)`` sorts the two arrays jointly into descending
-    sigma; tied sigma keep their input order, so a tie group's zeta stays on
-    its first member.  ``ell``, the number of terms, is derived.
-    ``stability_rhs`` caches the a-priori numerator bound used to pick the
-    integral representation, the product over k of
-    exp(zeta_k^2 sqrt(1 + 1/ell) / 2); it is 1 exactly when all zeta
-    vanish, and +inf when the summed exponent passes the double range.
-    ``groups`` is the law as the integrands use it, built once here:
-    (sigma^2 per group, multiplicity, summed zeta^2, ell), read-only.
-    ``secular_sweeps`` is the most sweeps a block of ``compute_spectrum``'s
-    secular solve took (0 when it solved no gap, or did not make this
-    spectrum); ``null()`` keeps it.
+    An entry (sigma, c, zeta) is c terms of variance sigma^2, the first with
+    zeta and the rest with 0: the law sees a tie's zetas only through their
+    summed squares.  ``Spectrum(sigma, zeta)`` sorts its terms jointly into
+    descending sigma, ties in input order, one entry each; ``compute_spectrum``
+    and ``null()`` give an entry per distinct eigenvalue.  Built on first use
+    and read-only: ``sigma`` and ``zeta``, the terms, and ``groups``, the law
+    as the integrands use it, (sigma^2, multiplicity, summed zeta^2, ell) over
+    runs of equal sigma^2.  ``ell`` counts the terms.  ``stability_rhs``, the
+    a-priori numerator bound that picks the integral representation, is
+    prod_k exp(zeta_k^2 sqrt(1 + 1/ell) / 2): 1 exactly when all zeta vanish,
+    +inf when its exponent passes the double range.  ``secular_sweeps`` is the
+    most sweeps a block of ``compute_spectrum``'s secular solve took (0 when it
+    solved no gap or did not make this spectrum); ``null()`` keeps it.
     """
 
-    sigma: np.ndarray
-    zeta: np.ndarray
-    ell: int = field(init=False)
-    stability_rhs: float = field(init=False)
-    groups: tuple = field(init=False, repr=False)
-    secular_sweeps: int = field(init=False, repr=False, default=0)
-
-    def __post_init__(self):
-        sigma = np.asarray(self.sigma, dtype=float)
-        zeta = np.asarray(self.zeta, dtype=float)
+    def __new__(cls, sigma, zeta):
+        sigma, zeta = (np.asarray(v, dtype=float) for v in (sigma, zeta))
         if sigma.ndim != 1 or sigma.shape != zeta.shape or sigma.size < 1:
             raise DimensionError("sigma and zeta must be 1-d arrays of equal length >= 1")
         if np.any(sigma <= 0) or not np.all(np.isfinite(sigma)):
             raise ValueError("all sigma must be finite and strictly positive")
-        if not np.all(np.isfinite(zeta)):
-            raise ValueError("all zeta must be finite")
         order = np.argsort(-sigma, kind="stable")
-        sigma, zeta = sigma[order], zeta[order]
-        ell = int(sigma.size)
-        exponent = 0.5 * math.sqrt(1.0 + 1.0 / ell) * float(zeta @ zeta)
-        object.__setattr__(self, "stability_rhs", math.inf
-                           if exponent > _EXP_OVERFLOW else math.exp(exponent))
-        for arr in (sigma, zeta):
-            arr.flags.writeable = False
-        object.__setattr__(self, "ell", ell)
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "zeta", zeta)
-        object.__setattr__(self, "groups", _groups(sigma, zeta))
+        return cls._of(sigma[order], np.ones(sigma.size), zeta[order])
+
+    @classmethod
+    def _of(cls, sigma, mult, zeta, secular_sweeps=0):
+        """The spectrum of entries, sigma valid and descending, mult as floats."""
+        if not np.all(np.isfinite(zeta)):   # a finite perturbation can overflow it
+            raise ValueError("all zeta must be finite")
+        spec = object.__new__(cls)
+        vars(spec).update(_sigma=sigma, _mult=mult, _zeta=zeta, ell=int(mult.sum()),
+                          secular_sweeps=secular_sweeps)
+        return spec
+
+    def __repr__(self):
+        return (f"Spectrum(sigma={self.sigma!r}, zeta={self.zeta!r}, ell={self.ell!r}, "
+                f"stability_rhs={self.stability_rhs!r})")
+
+    def __reduce__(self):   # copies and pickles: the entries, not what is built from them
+        return Spectrum._of, (self._sigma, self._mult, self._zeta, self.secular_sweeps)
+
+    @functools.cached_property
+    def sigma(self) -> np.ndarray:
+        return _frozen(np.repeat(self._sigma, self._mult.astype(int)))
+
+    @functools.cached_property
+    def zeta(self) -> np.ndarray:
+        terms = np.zeros(self.ell)
+        terms[(np.cumsum(self._mult) - self._mult).astype(int)] = self._zeta
+        return _frozen(terms)
+
+    @functools.cached_property
+    def groups(self) -> tuple:
+        s2 = self._sigma ** 2
+        starts = np.flatnonzero(np.concatenate(([True], s2[1:] != s2[:-1])))
+        return (*map(_frozen, (s2[starts], np.add.reduceat(self._mult, starts),
+                               np.add.reduceat(self._zeta ** 2, starts))), self.ell)
+
+    @functools.cached_property
+    def stability_rhs(self) -> float:
+        exponent = 0.5 * math.sqrt(1.0 + 1.0 / self.ell) * float(self.zeta @ self.zeta)
+        return math.inf if exponent > _EXP_OVERFLOW else math.exp(exponent)
 
     def null(self) -> "Spectrum":
         """The null law's parameters: the same sigma, every zeta 0.
@@ -126,9 +133,7 @@ class Spectrum:
         sigma depends on p0 alone, so this equals ``compute_spectrum`` on
         the zero perturbation without a second eigendecomposition.
         """
-        null = Spectrum(self.sigma, np.zeros(self.ell))
-        object.__setattr__(null, "secular_sweeps", self.secular_sweeps)
-        return null
+        return Spectrum._of(self._sigma, self._mult, np.zeros_like(self._zeta), self.secular_sweeps)
 
     @functools.cached_property
     def plan(self) -> Plan:
@@ -141,10 +146,11 @@ class Spectrum:
         return float((self.sigma ** 2) @ (1.0 + self.zeta ** 2))
 
     def to_json(self, **kwargs) -> str:
+        """The terms' sigma^2 and zeta, and stability_rhs: null when +inf."""
         return json.dumps({
             "sigma2": (self.sigma ** 2).tolist(),
             "zeta": self.zeta.tolist(),
-            "stability_rhs": self.stability_rhs,
+            "stability_rhs": self.stability_rhs if self.stability_rhs < math.inf else None,
         }, **kwargs)
 
 
@@ -217,37 +223,33 @@ def _secular_roots(poles, cnt, rows):
 
 def _secular_solve(p0):
     """The part of ``eigendecompose`` that depends on p0 alone: the distinct
-    poles r_g = 1/p0 ascending, each bin's group ``which``, the counts c_g
-    (int and float), each block's (pole, tau), and the nonzero eigenvalues
-    in ascending ``order``, and the most sweeps a block took."""
+    poles r_g = 1/p0 ascending, each bin's group ``which``, the counts c_g as
+    floats, each block's (pole, tau, sweeps), the entries (lambda, multiplicity) in
+    ascending ``order``, and the most sweeps a block took."""
     poles, which, cnt = np.unique(1.0 / p0, return_inverse=True, return_counts=True)
     weight = cnt.astype(float)
     solved = [_secular_roots(poles, weight, slice(start, start + _BLOCK))
               for start in range(0, poles.size - 1, _BLOCK)]
-    blocks = [(pole, tau) for pole, tau, _ in solved]
-    # tied groups: r_g itself, c_g - 1 times
-    lam = np.concatenate([np.repeat(poles, cnt - 1), *(pole + tau for pole, tau in blocks)])
+    lam = np.concatenate([poles[cnt > 1], *(pole + tau for pole, tau, _ in solved)])
+    mult = np.concatenate([weight[cnt > 1] - 1.0, np.ones(poles.size - 1)])   # ties c_g - 1
     order = np.argsort(lam, kind="stable")
-    lam = lam[order]
-    lam.flags.writeable = False   # shared by every projection of this solve
-    return poles, which, cnt, weight, blocks, lam, order, max((s for *_, s in solved), default=0)
+    lam, mult = _frozen(lam[order]), _frozen(mult[order])   # shared by its projections
+    return poles, which, weight, solved, lam, mult, order, max((s for *_, s in solved), default=0)
 
 
 def _project(solve, a):
-    """(lambda, eta) of ``eigendecompose`` from p0's ``_secular_solve``."""
-    poles, which, cnt, weight, blocks, lam, order, _ = solve
+    """(lambda, mult, eta) of ``eigendecompose`` from p0's ``_secular_solve``."""
+    poles, which, weight, solved, lam, mult, order, _ = solve
     sum_a = np.bincount(which, a)
-    spread = np.bincount(which, (a - (sum_a / cnt)[which]) ** 2)
-    eta = [np.zeros(which.size - poles.size)]   # the tied eigenvalues, sum(c_g - 1)
-    tied = cnt > 1
-    eta[0][(np.cumsum(cnt - 1) - (cnt - 1))[tied]] = np.sqrt(spread[tied])
-    for pole, tau in blocks:
+    spread = np.bincount(which, (a - (sum_a / weight)[which]) ** 2)
+    eta = [np.sqrt(spread[weight > 1.0])]   # each tied group's, along a
+    for pole, tau, _ in solved:
         # tau/(r_g - lambda), |v| <= 1; tau, the end away from the pole, is never 0
         v = tau[:, None] / ((poles - pole[:, None]) - tau[:, None])
         v *= np.sign(v[:, which[0]])[:, None]
         eta.append(np.einsum("ij,j->i", v, sum_a)
                    / np.sqrt(np.einsum("ij,j->i", v * v, weight)))
-    return lam, np.concatenate(eta)[order]
+    return lam, mult, np.concatenate(eta)[order]
 
 
 # the most recent eigendecomposition's p0 and its _secular_solve, one entry
@@ -255,8 +257,9 @@ _recent: tuple = (None, None)
 
 
 def eigendecompose(p0, a):
-    """Nonzero eigenvalues of B = H diag(1/p0) H, ascending, and the
-    components eta of ``a`` along matching unit eigenvectors.
+    """Nonzero eigenvalues of B = H diag(1/p0) H, an entry per distinct
+    value: (lam ascending, multiplicity as a float, eta), with eta the
+    component of ``a`` along a matching unit eigenvector.
 
     f(lambda) = sum_g c_g/(r_g - lambda) rises from -inf to +inf across each
     gap, so its sign at the midpoint names the nearer pole, and the root is
@@ -271,11 +274,10 @@ def eigendecompose(p0, a):
     other end, or a NaN or infinite one, bisects.  When every bracket is two
     adjacent doubles, tau is the end away from the pole, as bisection left
     it.  The gaps, eigenvectors included, are solved _BLOCK rows at a time;
-    every sum is formed row by row, so no bit depends on _BLOCK.
-    Eigenvectors are signed so that their first entry is positive.
-    Within a tied group the eigenbasis is free: one vector is taken along
-    the group's part of ``a``, so the group's first eta is |a_G - mean(a_G)|
-    and the others are 0.
+    every sum is formed row by row, so no bit depends on _BLOCK.  A root is
+    simple, its eigenvector signed to a positive first entry.  A tie's r_g
+    has multiplicity c_g - 1 and a free eigenbasis, with one vector along the
+    group's part of ``a``: its eta is |a_G - mean(a_G)|, the others' 0.
     """
     global _recent
     p0 = np.asarray(p0, dtype=float)
@@ -283,17 +285,15 @@ def eigendecompose(p0, a):
     # a NaN pole would keep the secular iteration below live for ever
     if p0.ndim != 1 or p0.shape != a.shape or not np.all((p0 > 0) & np.isfinite(p0)):
         raise ValueError("p0 must be finite and positive, with a of the same length")
-    solve = _secular_solve(p0)
-    _recent = (p0, solve)
-    return _project(solve, a)
+    _recent = (p0, _secular_solve(p0))
+    return _project(_recent[1], a)
 
 
 def compute_spectrum(model: ProbabilityModel, pert: Perturbation) -> Spectrum:
     """Full pipeline from (p0, a) to the limit-law parameters.
 
-    sigma_k = 1/sqrt(lambda_k) over the m-1 nonzero eigenvalues, ascending,
-    so sigma is descending; zeta_k = eta_k / sigma_k with eta_k the
-    component of ``a`` along the k-th unit eigenvector.
+    The entries are ``eigendecompose``'s: sigma = 1/sqrt(lambda), descending
+    as lambda ascends, with its multiplicity, and zeta = eta / sigma.
 
     sigma depends on p0 alone, so the secular solve of the most recent
     eigendecomposition is kept, keyed on the p0 array it solved, which a
@@ -302,15 +302,11 @@ def compute_spectrum(model: ProbabilityModel, pert: Perturbation) -> Spectrum:
     the alternative, ``Spectrum.null()`` gives the null with no solve at all.
     """
     if pert.m != model.m:
-        raise DimensionError(
-            f"perturbation has {pert.m} bins, model has {model.m}")
+        raise DimensionError(f"perturbation has {pert.m} bins, model has {model.m}")
     p0, solve = _recent
     if p0 is model.probs:
-        lam, eta = _project(solve, pert.entries)
+        lam, mult, eta = _project(solve, pert.entries)
     else:
-        lam, eta = eigendecompose(model.probs, pert.entries)
-        solve = _recent[1]
+        lam, mult, eta = eigendecompose(model.probs, pert.entries)
     sigma = 1.0 / np.sqrt(lam)
-    spec = Spectrum(sigma, eta / sigma)
-    object.__setattr__(spec, "secular_sweeps", solve[-1])
-    return spec
+    return Spectrum._of(sigma, mult, eta / sigma, _recent[1][-1])

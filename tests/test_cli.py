@@ -43,6 +43,19 @@ class TestSpectrumCommand:
         data = json.loads(out_path.read_text())
         assert data["stability_rhs"] == pytest.approx(8.233, rel=5e-4)
 
+    def test_overflowing_stability_rhs_is_strict_json(self, capsys):
+        # sum zeta^2 = 1,600 puts stability_rhs past the double range; JSON
+        # has no infinity, so it is written as null, never as Infinity
+        def refuse(token):
+            raise ValueError(f"not JSON: {token}")
+
+        code, out, _ = run(capsys, "spectrum", "--model", "uniform:10",
+                           "--pert", "alternating:4")
+        assert code == EXIT_OK
+        data = json.loads(out, parse_constant=refuse)
+        assert data["stability_rhs"] is None
+        assert len(data["zeta"]) == 9
+
 
 QUAD_COMMANDS = {
     "cdf": ["cdf", "--model", "uniform:3", "--x", "1"],

@@ -237,6 +237,26 @@ class TestBuildersAndFiles:
             load_case(missing)
 
 
+    @pytest.mark.parametrize("name, k, value", [
+        ("a", 1, True), ("a", 2, False), ("p0", 2, "0.5"), ("p0", 1, None),
+        ("a", 2, [-1.0]), ("p0", 2, {"x": 0.5})])
+    def test_refuses_entries_that_are_not_numbers(self, tmp_path, name, k, value):
+        # true would otherwise be read as 1, and an array as its entry
+        data = {"p0": [0.5, 0.5], "a": [1.0, -1.0]}
+        data[name][k - 1] = value
+        path = tmp_path / "case.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(BuilderError) as info:
+            load_case(path)
+        assert str(info.value) == (f'{path}: "{name}"[{k}] is {json.dumps(value)}, '
+                                   "not a number")
+
+    def test_integer_entries_are_numbers(self, tmp_path):
+        path = tmp_path / "case.json"
+        path.write_text('{"p0": [0.5, 0.5], "a": [1, -1]}')
+        assert load_case(path)[1].entries.tolist() == [1.0, -1.0]
+
+
 class TestBuiltinExamples:
     def test_shapes_and_validity(self):
         cases = builtin_examples()

@@ -1,9 +1,11 @@
 """Closed-form (secular-equation) spectrum and limit-law parameters."""
 
+import copy
 import decimal
 import gc
 import json
 import math
+import pickle
 import warnings
 import weakref
 
@@ -116,6 +118,16 @@ def within_ulp(got, want, ulp):
     return np.abs(got - want) <= ulp * np.spacing(np.abs(want))
 
 
+def per_eigenvalue(lam, mult, eta):
+    """``eigendecompose``'s entries as one (lambda, eta) per eigenvalue, in
+    the same order: each lambda mult times, its eta on the first copy and 0
+    on the others."""
+    counts = mult.astype(int)
+    full = np.zeros(counts.sum())
+    full[np.cumsum(counts) - counts] = eta
+    return np.repeat(lam, counts), full
+
+
 def oracle_runs(model, pert):
     """The oracle's distinct eigenvalues as runs (start, length, lambda,
     summed zeta^2) over a spectrum's entries, which run by lambda ascending."""
@@ -130,25 +142,25 @@ def oracle_runs(model, pert):
 class TestEigendecompose:
     def test_hand_checked_two_by_two(self):
         # uniform: B = [[1, -1], [-1, 1]], eigenvalue 2 on (1, -1)/sqrt(2)
-        lam, eta = eigendecompose([0.5, 0.5], [0.25, -0.25])
+        lam, eta = per_eigenvalue(*eigendecompose([0.5, 0.5], [0.25, -0.25]))
         assert lam.tolist() == [2.0]
         assert eta == pytest.approx([math.sqrt(0.125)], rel=1e-15)
         # p0 = (1/3, 2/3): B = 1.125 [[1, -1], [-1, 1]], the secular root of
         # 1/(3 - lambda) + 1/(1.5 - lambda) = 0
-        lam, eta = eigendecompose([1 / 3, 2 / 3], [0.1, -0.1])
+        lam, eta = per_eigenvalue(*eigendecompose([1 / 3, 2 / 3], [0.1, -0.1]))
         assert lam == pytest.approx([2.25], rel=2 * EPS)
         assert eta == pytest.approx([0.1 * math.sqrt(2.0)], rel=1e-15)
 
     def test_rank_nine_projector(self):
         # uniform over 10 bins: B = 10 H, the value 10 nine times
-        lam, _ = eigendecompose(uniform_model(10).probs, np.zeros(10))
+        lam, _ = per_eigenvalue(*eigendecompose(uniform_model(10).probs, np.zeros(10)))
         assert lam.tolist() == [10.0] * 9
 
     @pytest.mark.parametrize("m", [2, 5, 17, 60, 100])
     def test_contract_on_random_models(self, m):
         rng = np.random.default_rng(m)
         model, pert = random_model_pert(rng, m)
-        lam, eta = eigendecompose(model.probs, pert.entries)
+        lam, eta = per_eigenvalue(*eigendecompose(model.probs, pert.entries))
         ref = np.linalg.eigvalsh(b_matrix(model.probs))
         # the m - 1 nonzero eigenvalues, ascending
         assert lam.shape == eta.shape == (m - 1,)
@@ -169,7 +181,7 @@ class TestEigendecompose:
         runs = []
         for block in (7, 128):
             monkeypatch.setattr("gofpower.spectrum._BLOCK", block)
-            runs.append(eigendecompose(p0, a))
+            runs.append(per_eigenvalue(*eigendecompose(p0, a)))
         (lam7, eta7), (lam128, eta128) = runs
         assert np.array_equal(lam7, lam128)
         assert np.array_equal(eta7, eta128)
@@ -182,7 +194,7 @@ class TestEigendecompose:
 
     def test_agrees_with_lapack(self):
         for _, model, _ in builtin_examples():
-            lam, _ = eigendecompose(model.probs, np.zeros(model.m))
+            lam, _ = per_eigenvalue(*eigendecompose(model.probs, np.zeros(model.m)))
             ref = np.linalg.eigvalsh(b_matrix(model.probs))[1:]
             assert np.abs(lam - ref).max() <= EPS * model.m * ref[-1]
             spec = compute_spectrum(model, zero_perturbation(model.m))
@@ -196,11 +208,12 @@ class TestEigendecompose:
             p = rng.uniform(0.05, 1.0, m)
             a = -np.full(m, 1.0 / m)
             a[0] += 1.0
-            lam, eta = eigendecompose(p / p.sum(), a)
+            lam, eta = per_eigenvalue(*eigendecompose(p / p.sum(), a))
             assert np.all(np.diff(lam) > 0)
             assert np.all(eta > 0)
         # a tied group's basis follows a: eta >= 0 on its first member only
-        lam, eta = eigendecompose(uniform_model(6).probs, [-0.5, 0.1, 0.1, 0.1, 0.1, 0.1])
+        lam, eta = per_eigenvalue(*eigendecompose(uniform_model(6).probs,
+                                                  [-0.5, 0.1, 0.1, 0.1, 0.1, 0.1]))
         assert eta[0] == pytest.approx(math.sqrt(0.3), rel=1e-15)
         assert not eta[1:].any()
 
@@ -245,7 +258,7 @@ class TestEigendecompose:
     def test_tie_group_carries_zeta_on_first_member(self):
         p0 = np.array([0.1, 0.2, 0.1, 0.1, 0.3, 0.2])
         a = np.array([0.3, -0.1, -0.2, 0.05, -0.1, 0.05])
-        lam, eta = eigendecompose(p0, a)
+        lam, eta = per_eigenvalue(*eigendecompose(p0, a))
         # r = 10/3 once, 5 twice and 10 three times: 5 once and 10 twice,
         # plus one secular root in each of the two gaps
         assert lam.size == 5
@@ -259,6 +272,25 @@ class TestEigendecompose:
         spec = compute_spectrum(ProbabilityModel(p0), Perturbation(a))
         assert spec.zeta[3] == pytest.approx(eta[3] * math.sqrt(10.0), rel=1e-15)
         assert spec.zeta[4] == 0.0
+
+    def test_one_entry_per_distinct_eigenvalue(self):
+        # r = 10/3 once, 5 twice and 10 three times: a root, 5, a root and 10
+        # twice, each distinct value once with its multiplicity
+        p0 = np.array([0.1, 0.2, 0.1, 0.1, 0.3, 0.2])
+        a = np.array([0.3, -0.1, -0.2, 0.05, -0.1, 0.05])
+        lam, mult, eta = eigendecompose(p0, a)
+        assert lam.size == mult.size == eta.size == 4
+        assert mult.tolist() == [1.0, 1.0, 1.0, 2.0]
+        assert lam[1] == 5.0 and lam[3] == 10.0
+        assert np.all(np.diff(lam) > 0)
+        assert not lam.flags.writeable and not mult.flags.writeable
+        group = a[[0, 2, 3]] - a[[0, 2, 3]].mean()
+        assert eta[3] == pytest.approx(math.sqrt(group @ group), rel=1e-15)
+        # the spectrum keeps them as its groups: sigma descends as lambda ascends
+        s2, cnt, z2, ell = compute_spectrum(ProbabilityModel(p0), Perturbation(a)).groups
+        assert s2.tolist() == ((1.0 / np.sqrt(lam)) ** 2).tolist()
+        assert cnt.tolist() == mult.tolist() and ell == 5
+        assert z2[3] == pytest.approx(10.0 * eta[3] ** 2, rel=1e-14)
 
 
 class TestSecularIteration:
@@ -405,7 +437,7 @@ class TestComputeSpectrum:
         # that pole and 1/min p0, and both are within 4 ulp of the oracle
         probs = np.array([0.5 - 5e-12, 0.5 - 5e-12, 1e-11])
         model, pert = ProbabilityModel(probs), zero_perturbation(3)
-        lam, _ = eigendecompose(model.probs, pert.entries)
+        lam, _ = per_eigenvalue(*eigendecompose(model.probs, pert.entries))
         assert lam[0] == 1.0 / probs[0]
         assert 1.0 / probs[0] < lam[1] < 1.0 / probs[2]
         s2 = compute_spectrum(model, pert).sigma ** 2
@@ -413,6 +445,17 @@ class TestComputeSpectrum:
             ctx.prec = 50
             for start, _, lam_k, _ in oracle_runs(model, pert):
                 assert abs(decimal.Decimal(float(s2[start])) * lam_k - 1) <= 4 * EPS
+
+    @pytest.mark.parametrize("p0, a", [
+        ([0.5, 0.5], [1e308, -1e308]),                  # a tie: its spread overflows
+        ([1 / 3] * 3, [1e200, -1e200, 0.0]),
+        ([0.2, 0.3, 0.5], [1e308, -1e308, 0.0])],       # roots: eta / sigma overflows
+        ids=["tie-m2", "tie-m3", "roots"])
+    def test_overflowing_zeta_is_refused(self, p0, a):
+        # a finite a can project to an infinite zeta, which no law has
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="all zeta must be finite"):
+                compute_spectrum(ProbabilityModel(p0), Perturbation(a))
 
     def test_dimension_mismatch(self):
         with pytest.raises(Exception):
@@ -504,6 +547,88 @@ class TestSecularSweeps:
         assert spec.secular_sweeps > 0
         assert "secular_sweeps" not in repr(spec)
         assert "secular_sweeps" not in spec.to_json()
+
+
+def entry_cases():
+    """(model, perturbation) pairs for the entry tests: the four examples,
+    the tied and near-tied SECULAR_CASES, and 60 model-sweep-shaped models
+    with sum zeta^2 from 2 to 150."""
+    cases = [(model, pert) for _, model, pert in builtin_examples()]
+    cases += [secular_case(*c) for c in SECULAR_CASES if c[1] != "distinct"]
+    rng = np.random.default_rng(2037)
+    for _ in range(60):
+        p0 = sweep_shaped_p0(rng)
+        a = rng.normal(size=p0.size)
+        a -= a.mean()
+        a *= math.sqrt(rng.uniform(2.0, 150.0) / float(a @ (a / p0)))
+        cases.append((ProbabilityModel(p0), Perturbation(a - a.mean())))
+    return cases
+
+
+class TestSpectrumEntries:
+    """A spectrum kept as entries, with per-term views built from them."""
+
+    def test_terms_rebuild_the_same_law(self):
+        # Spectrum(sigma, zeta) on the views: one entry per term, yet the
+        # same groups and stability bound, bit for bit
+        for model, pert in entry_cases():
+            alt = compute_spectrum(model, pert)
+            for spec in (compute_spectrum(model, zero_perturbation(model.m)), alt, alt.null()):
+                again = Spectrum(spec.sigma, spec.zeta)
+                assert again.ell == spec.ell
+                for got, want in zip(again.groups[:3], spec.groups[:3]):
+                    assert got.tobytes() == want.tobytes()
+                assert again.groups[3] == spec.groups[3]
+                assert repr(again.stability_rhs) == repr(spec.stability_rhs)
+
+    def test_views_put_each_tie_on_its_first_term(self):
+        for model, pert in entry_cases()[:20]:
+            spec = compute_spectrum(model, pert)
+            s2, cnt, z2, ell = spec.groups
+            starts = np.cumsum(cnt).astype(int) - cnt.astype(int)
+            assert spec.sigma.size == spec.zeta.size == ell == model.m - 1
+            assert np.array_equal(spec.sigma ** 2, np.repeat(s2, cnt.astype(int)))
+            assert np.all(spec.zeta[np.setdiff1d(np.arange(ell), starts)] == 0.0)
+
+    @pytest.mark.parametrize("name", ["ell", "groups", "sigma", "zeta", "stability_rhs",
+                                      "secular_sweeps", "plan"])
+    def test_immutable(self, name):
+        model, pert = secular_case(1, "tied", 10.0)
+        for spec in (compute_spectrum(model, pert), Spectrum([2.0, 1.0], [0.5, 0.0])):
+            with pytest.raises(AttributeError):   # before first use of a view
+                setattr(spec, name, None)
+            getattr(spec, name)
+            with pytest.raises(AttributeError):   # and after
+                setattr(spec, name, None)
+            with pytest.raises(AttributeError):
+                delattr(spec, name)
+
+    def test_views_are_read_only(self):
+        model, pert = secular_case(1, "tied", 10.0)
+        for spec in (compute_spectrum(model, pert), Spectrum([2.0, 1.0], [0.5, 0.0])):
+            for arr in (spec.sigma, spec.zeta, *spec.groups[:3]):
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[0] = 1.0
+
+    def test_copies_and_pickles_keep_the_law(self):
+        # they carry the entries, so a spectrum whose plan holds closures
+        # still copies and pickles
+        model, pert = secular_case(1, "tied", 10.0)
+        spec = compute_spectrum(model, pert)
+        assert spec.plan.log_tail
+        for twin in (copy.copy(spec), copy.deepcopy(spec), pickle.loads(pickle.dumps(spec))):
+            assert type(twin) is Spectrum and twin is not spec
+            assert twin.ell == spec.ell and twin.secular_sweeps == spec.secular_sweeps
+            for got, want in zip((twin.sigma, twin.zeta, *twin.groups[:3]),
+                                 (spec.sigma, spec.zeta, *spec.groups[:3])):
+                assert got.tobytes() == want.tobytes()
+            assert repr(twin) == repr(spec)
+
+    def test_repr_shows_the_terms(self):
+        spec = Spectrum([1.0, 2.0], [0.0, 0.5])
+        assert repr(spec) == ("Spectrum(sigma=array([2., 1.]), zeta=array([0.5, 0. ]), "
+                              f"ell=2, stability_rhs={spec.stability_rhs!r})")
 
 
 class TestSpectrumType:
