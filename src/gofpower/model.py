@@ -91,7 +91,8 @@ class Perturbation:
     """Direction vector defining the alternative p0 + a/sqrt(n).
 
     Entries must sum to 0 within ``PERTURBATION_SUM_TOL`` relative to
-    max(1, sum |a_k|).
+    max(1, sum |a_k|), tested on a / 2^k with 2^k >= max |a_k| when either
+    sum overflows.
     """
 
     __slots__ = ("m", "entries")
@@ -102,9 +103,14 @@ class Perturbation:
             raise DimensionError(f"a perturbation needs at least 2 bins, got shape {a.shape}")
         if not np.all(np.isfinite(a)):
             raise PerturbationError("perturbation entries must be finite")
-        scale = max(1.0, float(np.abs(a).sum()))
-        total = float(a.sum())
-        if abs(total) > PERTURBATION_SUM_TOL * scale:
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = float(a.sum())
+            net, size = total, float(np.abs(a).sum())
+            if not math.isfinite(net + size):
+                # sums past the double range: the same test on a / 2^k, 2^k >= max |a|
+                b = np.ldexp(a, -math.frexp(float(np.abs(a).max()))[1])
+                net, size = float(b.sum()), float(np.abs(b).sum())
+        if abs(net) > PERTURBATION_SUM_TOL * max(1.0, size):
             raise PerturbationError(f"perturbation entries sum to {total!r}, expected 0")
         self.m = int(a.size)
         self.entries = _readonly(a)

@@ -217,7 +217,7 @@ def _critical_start(alpha: float, spec: Spectrum) -> float:
     it inverts the law's small-x asymptote F ~ e^(-sum zeta^2 / 2) (x/2)^(ell/2)
     / (Gamma(ell/2 + 1) prod sigma) instead."""
     s2, cnt, z2, ell = spec.groups
-    k1 = float(s2 @ (cnt + z2))
+    k1 = spec.mean()
     k2 = 2.0 * float((s2 * s2) @ (cnt + 2.0 * z2))
     t = math.sqrt(-2.0 * math.log(min(alpha, 1.0 - alpha)))
     z = t - ((0.010328 * t + 0.802853) * t + 2.515517) / (

@@ -5,14 +5,15 @@ representations:
 
 * a shifted-contour form whose integrand carries an e^{1-y} envelope and a
   denominator bounded away from zero, used whenever an a-priori bound on
-  its numerator (``stability_rhs``) is moderate;
+  its numerator (``stability_rhs``, from the spectrum's groups) is moderate;
 * the classical real-axis inversion form (Imhof-style), whose numerator is
   bounded by 1 and decays sub-Gaussian fast exactly when that bound is
   large.
 
 Each integral bisects panels of the embedded 10-point Gauss / 21-point
 Kronrod pair on a window fixed before the first panel.  On the shifted
-contour, a y-independent a-priori bound sizes one head for every x, and
+contour, a y-independent a-priori bound, from the exponent that gives
+``stability_rhs``, sizes one head for every x, and
 each x keeps the fewest of its panels past whose end a bound that
 tightens with y puts the tail below 1e-4 abs_tol, or else all of them;
 that bound at the window's end is part of its error estimate.  The
@@ -528,7 +529,7 @@ class Plan:
     """What ``cdf_many`` reads from a spectrum alone, built once per spectrum
     as ``Spectrum.plan``:
 
-    * ``method``, the route taken by default;
+    * ``method``, the route taken by default, from ``stability_rhs``;
     * ``kernel_args``, the kernels' group constants: sigma^2, cnt/4, cnt/2,
       zeta^2/2 per group (None when every zeta is 0), and ell;
     * ``log_tail``, the shifted contour's tail bound (``_tail_bound``), and
@@ -540,6 +541,7 @@ class Plan:
 
     def __init__(self, spec: "Spectrum"):
         s2, cnt, z2, ell = self._groups = spec.groups
+        self._log_rhs = spec._log_rhs
         self.method = (Method.SHIFTED_CONTOUR
                        if spec.stability_rhs <= QuadratureConfig.stability_threshold
                        else Method.IMHOF)
@@ -558,15 +560,14 @@ class Plan:
 
         The asserted bounds of _shifted_values give |f(y)| <= rhs e^{5/4-y}
         / (pi (y - 1/2)), whose integral past the head's end is below 0.1
-        abs_tol.  Each panel spans a few oscillation periods (wavelength ~
+        abs_tol; log rhs is the spectrum's exponent, finite where rhs
+        overflows.  Each panel spans a few oscillation periods (wavelength ~
         2 pi / sqrt(ell)), and the pole of 1/d lies sqrt(ell)/(1 + ell) off
         the axis.
         """
         if abs_tol not in self._heads:
-            _, _, z2, ell = self._groups
-            # log of stability_rhs, from its exponent: finite where rhs overflows
-            log_rhs = 0.5 * math.sqrt(1.0 + 1.0 / ell) * float(z2.sum())
-            upper = max(1.5, 1.25 + log_rhs - math.log(0.1 * math.pi * abs_tol))
+            ell = self._groups[3]
+            upper = max(1.5, 1.25 + self._log_rhs - math.log(0.1 * math.pi * abs_tol))
             n0 = max(4, math.ceil(upper * math.sqrt(ell) / (4.0 * math.pi)))
             head = _panels(upper, n0, _POLE_PANEL * math.sqrt(ell) / (1.0 + ell))
             self._heads[abs_tol] = head, [b for _, b in head], _node_table(head, ell)

@@ -27,6 +27,11 @@ Every secular root lies strictly between two poles, and every tied
 eigenvalue is a pole, so each nonzero eigenvalue is at least 1/max p0 > 0:
 every p0 > 0 has a limit law, whatever its ratio max p0 / min p0.
 
+A ``Spectrum`` holds the law as entries, one per distinct eigenvalue, and
+everything computed from it, the route, the head, the mean and the
+integrands, reads their groups; the per-term sigma and zeta are views for
+output.
+
 When sum p0 != 1, the law computed is that of H diag(1/p0) H with p0 as
 given, not renormalized.  The covariance form diag(p0) - p0 p0^T gives the
 same law only when sum p0 = 1: the truncated Poisson p0 of examples 3 and
@@ -38,6 +43,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,14 +75,17 @@ class Spectrum:
     summed squares.  ``Spectrum(sigma, zeta)`` sorts its terms jointly into
     descending sigma, ties in input order, one entry each; ``compute_spectrum``
     and ``null()`` give an entry per distinct eigenvalue.  Built on first use
-    and read-only: ``sigma`` and ``zeta``, the terms, and ``groups``, the law
-    as the integrands use it, (sigma^2, multiplicity, summed zeta^2, ell) over
-    runs of equal sigma^2.  ``ell`` counts the terms.  ``stability_rhs``, the
-    a-priori numerator bound that picks the integral representation, is
-    prod_k exp(zeta_k^2 sqrt(1 + 1/ell) / 2): 1 exactly when all zeta vanish,
-    +inf when its exponent passes the double range.  ``secular_sweeps`` is the
-    most sweeps a block of ``compute_spectrum``'s secular solve took (0 when it
-    solved no gap or did not make this spectrum); ``null()`` keeps it.
+    and read-only: ``groups``, the law as everything is computed from it,
+    (sigma^2, multiplicity, summed zeta^2, ell) over runs of equal sigma^2,
+    and ``sigma`` and ``zeta``, the terms, views for output alone.  ``ell``
+    counts the terms.  ``stability_rhs``, the a-priori numerator bound that
+    picks the integral representation, is exp(sqrt(1 + 1/ell)/2 sum zeta_k^2)
+    with the sum taken over the groups, whose exponent also sizes the
+    shifted contour's head: 1 exactly when all zeta vanish, +inf when the
+    exponent passes the double range.  ``mean()`` is summed over the groups
+    too.  ``secular_sweeps`` is the most sweeps a block of the secular solve
+    it was projected from took (0 when it solved no gap or the spectrum was
+    built by hand); ``null()`` keeps it.
     """
 
     def __new__(cls, sigma, zeta):
@@ -123,9 +132,13 @@ class Spectrum:
                                np.add.reduceat(self._zeta ** 2, starts))), self.ell)
 
     @functools.cached_property
+    def _log_rhs(self) -> float:
+        """log of ``stability_rhs``, from the groups: finite where it overflows."""
+        return 0.5 * math.sqrt(1.0 + 1.0 / self.ell) * float(self.groups[2].sum())
+
+    @functools.cached_property
     def stability_rhs(self) -> float:
-        exponent = 0.5 * math.sqrt(1.0 + 1.0 / self.ell) * float(self.zeta @ self.zeta)
-        return math.inf if exponent > _EXP_OVERFLOW else math.exp(exponent)
+        return math.inf if self._log_rhs > _EXP_OVERFLOW else math.exp(self._log_rhs)
 
     def null(self) -> "Spectrum":
         """The null law's parameters: the same sigma, every zeta 0.
@@ -142,8 +155,9 @@ class Spectrum:
         return Plan(self)
 
     def mean(self) -> float:
-        """E[X] = sum sigma_k^2 (1 + zeta_k^2)."""
-        return float((self.sigma ** 2) @ (1.0 + self.zeta ** 2))
+        """E[X] = sum sigma_k^2 (1 + zeta_k^2), summed over the groups."""
+        s2, cnt, z2, _ = self.groups
+        return float(s2 @ (cnt + z2))
 
     def to_json(self, **kwargs) -> str:
         """The terms' sigma^2 and zeta, and stability_rhs: null when +inf."""
@@ -241,7 +255,8 @@ def _project(solve, a):
     """(lambda, mult, eta) of ``eigendecompose`` from p0's ``_secular_solve``."""
     poles, which, weight, solved, lam, mult, order, _ = solve
     sum_a = np.bincount(which, a)
-    spread = np.bincount(which, (a - (sum_a / weight)[which]) ** 2)
+    with np.errstate(over="ignore"):   # an infinite spread makes zeta infinite, refused
+        spread = np.bincount(which, (a - (sum_a / weight)[which]) ** 2)
     eta = [np.sqrt(spread[weight > 1.0])]   # each tied group's, along a
     for pole, tau, _ in solved:
         # tau/(r_g - lambda), |v| <= 1; tau, the end away from the pole, is never 0
@@ -252,8 +267,10 @@ def _project(solve, a):
     return lam, mult, np.concatenate(eta)[order]
 
 
-# the most recent eigendecomposition's p0 and its _secular_solve, one entry
+# the most recent eigendecomposition's p0 and its _secular_solve, one entry;
+# _made.solve is the solve of the calling thread's most recent one
 _recent: tuple = (None, None)
+_made = threading.local()
 
 
 def eigendecompose(p0, a):
@@ -285,8 +302,9 @@ def eigendecompose(p0, a):
     # a NaN pole would keep the secular iteration below live for ever
     if p0.ndim != 1 or p0.shape != a.shape or not np.all((p0 > 0) & np.isfinite(p0)):
         raise ValueError("p0 must be finite and positive, with a of the same length")
-    _recent = (p0, _secular_solve(p0))
-    return _project(_recent[1], a)
+    _made.solve = solve = _secular_solve(p0)
+    _recent = (p0, solve)
+    return _project(solve, a)
 
 
 def compute_spectrum(model: ProbabilityModel, pert: Perturbation) -> Spectrum:
@@ -300,6 +318,9 @@ def compute_spectrum(model: ProbabilityModel, pert: Perturbation) -> Spectrum:
     model holds read-only: a model's null and alternative solve once.  Only
     one is kept, so memory does not grow with the models answered.  Given
     the alternative, ``Spectrum.null()`` gives the null with no solve at all.
+    ``secular_sweeps`` comes from the solve projected, the kept one or the
+    one this thread's ``eigendecompose`` just made, whatever other threads
+    keep meanwhile.
     """
     if pert.m != model.m:
         raise DimensionError(f"perturbation has {pert.m} bins, model has {model.m}")
@@ -308,5 +329,6 @@ def compute_spectrum(model: ProbabilityModel, pert: Perturbation) -> Spectrum:
         lam, mult, eta = _project(solve, pert.entries)
     else:
         lam, mult, eta = eigendecompose(model.probs, pert.entries)
+        solve = _made.solve
     sigma = 1.0 / np.sqrt(lam)
-    return Spectrum._of(sigma, mult, eta / sigma, _recent[1][-1])
+    return Spectrum._of(sigma, mult, eta / sigma, solve[-1])

@@ -2,6 +2,8 @@
 
 import csv
 import json
+import subprocess
+import sys
 from pathlib import Path
 from xml.etree import ElementTree
 
@@ -581,6 +583,19 @@ class TestBadInput:
         code, _, err = run(capsys, "cdf", "--model", "cauchy:3", "--x", "1")
         assert code == EXIT_INPUT
         assert "model spec" in err
+
+    def test_overflowing_case_prints_one_error_line(self, tmp_path):
+        # a = (1e308, -1e308) projects to an infinite zeta; numpy's overflow
+        # warnings once came first.  pytest captures warnings, so the command
+        # runs in an interpreter of its own
+        case = tmp_path / "case.json"
+        case.write_text('{"p0": [0.5, 0.5], "a": [1e308, -1e308]}')
+        env = {"PYTHONPATH": str(Path(cli.__file__).resolve().parents[1]), "PATH": ""}
+        done = subprocess.run([sys.executable, "-m", "gofpower", "spectrum", "--model",
+                               f"file:{case}", "--pert", f"file:{case}"],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.stderr == "error: all zeta must be finite\n"
+        assert (done.returncode, done.stdout) == (EXIT_INPUT, "")
 
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -2,6 +2,8 @@
 
 import json
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -153,6 +155,24 @@ class TestPerturbation:
         Perturbation([1e6, -1e6 + 1e-7])  # fine: tol scales with sum|a|
         with pytest.raises(PerturbationError):
             Perturbation([1.0, -1.0 + 1e-9])
+        # either side of the bound 1e-12 sum |a| = 2e-6
+        Perturbation([1e6, -1e6 + 1.9e-6])
+        with pytest.raises(PerturbationError):
+            Perturbation([1e6, -1e6 + 2.1e-6])
+        # both sums overflow, yet a sums to 0 exactly
+        assert Perturbation([1e308, 1e308, -1e308, -1e308]).m == 4
+
+    @pytest.mark.parametrize("entries, total", [
+        ([1e308, -5e307, -4e307], "1.0000000000000001e+307"),   # sum |a| overflows
+        ([1e308, 1e308, -1e308], "inf")],                       # so does sum a
+        ids=["sum-abs", "both"])
+    def test_overflowing_sums_are_refused(self, entries, total):
+        # an infinite sum |a| once made the test pass anything; the sums are
+        # taken on a / 2^k instead, with no overflow warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PerturbationError, match=re.escape(f"sum to {total}, expected 0")):
+                Perturbation(entries)
 
     def test_zero_perturbation(self):
         z = zero_perturbation(5)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from oracles import bisect_secular_roots, secular_spectrum
+from test_quadform import run_threads
 
 from gofpower.model import (
     DimensionError,
@@ -23,7 +24,9 @@ from gofpower.model import (
     uniform_model,
     zero_perturbation,
 )
-from gofpower import spectrum
+from gofpower import power, spectrum
+from gofpower.power import asymptotic_power, power_curve, pvalue
+from gofpower.quadform import DEFAULT_CONFIG, Method, cdf_many
 from gofpower.spectrum import (
     _BLOCK,
     _MAX_SWEEPS,
@@ -541,6 +544,36 @@ class TestSecularSweeps:
         spec = compute_spectrum(uniform_model(6), alternating_perturbation(6, 0.1))
         assert spec.secular_sweeps == spec.null().secular_sweeps == 0
 
+    @pytest.mark.parametrize("kept", [False, True], ids=["solved", "kept"])
+    def test_count_is_the_projected_solves(self, kept, monkeypatch):
+        # another thread's eigendecomposition replaces the kept solve while
+        # this spectrum is projected: its count stays its own solve's
+        model, pert = random_model_pert(np.random.default_rng(300), 300)
+        other = random_model_pert(np.random.default_rng(3), 3)[0]
+        own, theirs = (spectrum._secular_solve(p.probs) for p in (model, other))
+        assert own[-1] != theirs[-1]
+        if kept:
+            compute_spectrum(model, zero_perturbation(model.m))
+        real = spectrum._project
+
+        def replacing(solve, a):
+            out = real(solve, a)
+            spectrum._recent = (other.probs, theirs)
+            return out
+
+        monkeypatch.setattr(spectrum, "_project", replacing)
+        assert compute_spectrum(model, pert).secular_sweeps == own[-1]
+
+    def test_threads_each_report_their_own_count(self):
+        # four threads answer eight models at once, so the kept solve keeps
+        # changing hands: each spectrum still reports its own model's count
+        models = [random_model_pert(np.random.default_rng(seed), m)
+                  for seed, m in enumerate((3, 5, 12, 40, 90, 150, 220, 300))]
+        want = [spectrum._secular_solve(model.probs)[-1] for model, _ in models]
+        assert len(set(want)) > 1
+        jobs = [lambda case=case: compute_spectrum(*case).secular_sweeps for case in models * 6]
+        assert run_threads(jobs, 4) == want * 6
+
     def test_not_in_repr_or_json(self):
         _, model, pert = builtin_examples()[2]
         spec = compute_spectrum(model, pert)
@@ -567,6 +600,46 @@ def entry_cases():
 
 class TestSpectrumEntries:
     """A spectrum kept as entries, with per-term views built from them."""
+
+    def test_computing_builds_no_term_view(self, monkeypatch):
+        # the route, the head, the mean and every integrand read the groups;
+        # sigma and zeta are built for output alone
+        made = []
+
+        def keep(fn):
+            def kept(*args, **kwargs):
+                made.append(fn(*args, **kwargs))
+                return made[-1]
+            return kept
+
+        monkeypatch.setattr(power, "compute_spectrum", keep(compute_spectrum))
+        monkeypatch.setattr(Spectrum, "null", keep(Spectrum.null))
+        routes = set()
+        for _, model, pert in builtin_examples()[2:]:   # the shifted contour and Imhof
+            alt = compute_spectrum(model, pert)
+            null = compute_spectrum(model, zero_perturbation(model.m))
+            for spec in (alt, null, alt.null()):
+                cdf_many([0.5 * spec.mean(), spec.mean()], spec)
+                pvalue(spec.mean(), spec)
+            asymptotic_power(0.05, null, alt)
+            power_curve(model, pert, grid=np.linspace(0.05, 5.0, 100))
+            routes.add(alt.plan.method)
+            for spec in (alt, null, *made):
+                assert "sigma" not in vars(spec) and "zeta" not in vars(spec)
+        assert routes == set(Method) and len(made) >= 4
+
+    def test_groups_exponent_keeps_the_route(self):
+        # the stability exponent summed over the groups is within 4 ulp of
+        # the sum over the terms, and picks the same representation
+        threshold = DEFAULT_CONFIG.stability_threshold
+        cases = entry_cases() + [secular_case(*c) for c in SECULAR_CASES if c[1] == "distinct"]
+        for model, pert in cases:
+            alt = compute_spectrum(model, pert)
+            for spec in (compute_spectrum(model, zero_perturbation(model.m)), alt, alt.null()):
+                terms = 0.5 * math.sqrt(1.0 + 1.0 / spec.ell) * float(spec.zeta @ spec.zeta)
+                assert abs(spec._log_rhs - terms) <= 4 * math.ulp(terms)
+                rhs = math.inf if terms > 700.0 else math.exp(terms)
+                assert (rhs <= threshold) == (spec.stability_rhs <= threshold)
 
     def test_terms_rebuild_the_same_law(self):
         # Spectrum(sigma, zeta) on the views: one entry per term, yet the
